@@ -191,5 +191,9 @@ func BenchmarkRolloutRoundOverlap(b *testing.B) { perf.RolloutRoundOverlap(b) }
 func BenchmarkTopologyGenerate(b *testing.B)    { perf.TopologyGenerate(b) }
 func BenchmarkTopologyGenerate10k(b *testing.B) { perf.TopologyGenerate10k(b) }
 func BenchmarkWorkloadArrivals(b *testing.B)    { perf.WorkloadArrivals(b) }
+func BenchmarkEngineEvent(b *testing.B)         { perf.EngineEvent(b) }
+func BenchmarkContainerDispatch(b *testing.B)   { perf.ContainerDispatch(b) }
+func BenchmarkAppHop(b *testing.B)              { perf.AppHop(b) }
+func BenchmarkRequestE2E(b *testing.B)          { perf.RequestE2E(b) }
 func BenchmarkShardStep(b *testing.B)           { perf.ShardStep(b) }
 func BenchmarkScenarioStep(b *testing.B)        { perf.ScenarioStep(b) }

@@ -188,92 +188,138 @@ func (a *App) exec(ctx *reqCtx, parent trace.SpanID, caller string, call *topolo
 	a.execAttempt(ctx, parent, caller, call, background, 0, onDone)
 }
 
+// attempt is one try of one workflow call. It handles the attempt's
+// engine events and receives its container work, so a hop costs one record
+// instead of a closure per callback.
+type attempt struct {
+	a          *App
+	ctx        *reqCtx
+	parent     trace.SpanID
+	caller     string
+	call       *topology.Call
+	background bool
+	n          int // retries before this attempt
+	onDone     func(ok bool)
+
+	target   *cluster.Container
+	spanID   trace.SpanID
+	dispatch sim.Time
+	hop      sim.Time
+	queued   sim.Time
+	ok       bool
+}
+
+// Event kinds of an attempt (the first payload word).
+const (
+	attemptArrive = iota // the request hop reached the callee
+	attemptReply         // the response hop reached the caller
+	attemptRetry         // the retry backoff elapsed
+)
+
 // execAttempt is one attempt of a workflow call. When a RetryPolicy is
 // armed, a shed, partition-dropped, or queue-dropped attempt re-submits
 // after Backoff; ctx.outstanding stays held across the wait so a trace
 // cannot seal under a pending retry (including background stragglers).
-func (a *App) execAttempt(ctx *reqCtx, parent trace.SpanID, caller string, call *topology.Call, background bool, attempt int, onDone func(ok bool)) {
+func (a *App) execAttempt(ctx *reqCtx, parent trace.SpanID, caller string, call *topology.Call, background bool, n int, onDone func(ok bool)) {
 	ctx.outstanding++
-	// fail ends this attempt: either hand the held outstanding slot to a
-	// scheduled re-attempt, or report failure. The trailing maybeFinish is
-	// a no-op on synchronous paths (the root is never done yet) but seals
-	// traces whose last pending work was a failed asynchronous retry.
-	fail := func() {
-		if a.retry != nil && attempt < a.retry.MaxRetries {
-			a.eng.Schedule(a.retry.Backoff, func() {
-				ctx.outstanding--
-				a.execAttempt(ctx, parent, caller, call, background, attempt+1, onDone)
-			})
-			return
-		}
-		ctx.outstanding--
-		onDone(false)
-		ctx.maybeFinish()
-	}
+	at := &attempt{a: a, ctx: ctx, parent: parent, caller: caller, call: call, background: background, n: n, onDone: onDone}
 	rs := a.cl.ReplicaSet(call.Service)
 	var target *cluster.Container
 	if rs != nil {
 		target = rs.Pick()
 	}
 	if target == nil { // no ready replica: request shed at routing
-		fail()
+		at.fail()
 		return
 	}
-	svc := a.Spec.Services[call.Service]
-	spanID := a.Coord.NewSpanID()
+	at.target = target
+	at.spanID = a.Coord.NewSpanID()
 	// Spans are client-observed (Dapper-style): they cover the full RPC
 	// boundary including both network hops, so a tc-delay anomaly on the
 	// callee shows up in the callee's span — which is what the paper's
 	// localization relies on.
-	dispatch := a.eng.Now()
-	hop := a.Spec.BaseRPCDelay + target.NetDelay()
+	at.dispatch = a.eng.Now()
+	at.hop = a.Spec.BaseRPCDelay + target.NetDelay()
 	if len(a.edgeFaults) > 0 {
 		if f, ok := a.edgeFaults[Edge{From: caller, To: call.Service}]; ok {
 			if f.Drop > 0 && a.faultRng != nil && a.faultRng.Float64() < f.Drop {
-				fail() // RPC lost in the partition before reaching the callee
+				at.fail() // RPC lost in the partition before reaching the callee
 				return
 			}
-			hop += f.Delay
+			at.hop += f.Delay
 		}
 	}
+	a.eng.ScheduleEvent(at.dispatch+at.hop, at, attemptArrive, 0)
+}
 
-	a.eng.Schedule(hop, func() {
-		var queued sim.Time
-		target.Submit(cluster.Work{
-			Base:   call.Compute,
-			Demand: svc.Demand,
-			OnDone: func(q, _ sim.Time) {
-				queued = q
-				a.runGroups(ctx, spanID, call.Service, call.Children, func(ok bool) {
-					// Response hop back to the caller, then seal the span.
-					a.eng.Schedule(hop, func() {
-						a.Coord.Emit(trace.Span{
-							Trace:      ctx.id,
-							ID:         spanID,
-							Parent:     parent,
-							Service:    call.Service,
-							Instance:   target.ID,
-							Start:      dispatch,
-							End:        a.eng.Now(),
-							Queued:     queued,
-							Background: background,
-						})
-						ctx.outstanding--
-						onDone(ok)
-						ctx.maybeFinish()
-					})
-				})
-			},
-			OnDrop: func() {
-				a.Coord.Emit(trace.Span{
-					Trace: ctx.id, ID: spanID, Parent: parent,
-					Service: call.Service, Instance: target.ID,
-					Start: dispatch, End: a.eng.Now(), Background: background,
-				})
-				fail()
-			},
+// fail ends this attempt: either hand the held outstanding slot to a
+// scheduled re-attempt, or report failure. The trailing maybeFinish is a
+// no-op on synchronous paths (the root is never done yet) but seals traces
+// whose last pending work was a failed asynchronous retry.
+func (at *attempt) fail() {
+	a := at.a
+	if a.retry != nil && at.n < a.retry.MaxRetries {
+		a.eng.ScheduleEvent(a.eng.Now()+a.retry.Backoff, at, attemptRetry, 0)
+		return
+	}
+	at.ctx.outstanding--
+	at.onDone(false)
+	at.ctx.maybeFinish()
+}
+
+// Handle implements sim.Handler for the attempt's events.
+func (at *attempt) Handle(kind, _ uint64) {
+	a := at.a
+	switch kind {
+	case attemptArrive:
+		at.target.Submit(cluster.Work{
+			Base:   at.call.Compute,
+			Demand: a.Spec.Services[at.call.Service].Demand,
+			To:     at,
 		})
+	case attemptReply:
+		a.Coord.Emit(trace.Span{
+			Trace:      at.ctx.id,
+			ID:         at.spanID,
+			Parent:     at.parent,
+			Service:    at.call.Service,
+			Instance:   at.target.ID,
+			Start:      at.dispatch,
+			End:        a.eng.Now(),
+			Queued:     at.queued,
+			Background: at.background,
+		})
+		at.ctx.outstanding--
+		at.onDone(at.ok)
+		at.ctx.maybeFinish()
+	case attemptRetry:
+		at.ctx.outstanding--
+		a.execAttempt(at.ctx, at.parent, at.caller, at.call, at.background, at.n+1, at.onDone)
+	}
+}
+
+// WorkDone implements cluster.Receiver: run the child groups, then take
+// the response hop back to the caller.
+func (at *attempt) WorkDone(_ uint64, queued, _ sim.Time) {
+	at.queued = queued
+	at.a.runGroups(at.ctx, at.spanID, at.call.Service, at.call.Children, at.childrenDone)
+}
+
+func (at *attempt) childrenDone(ok bool) {
+	at.ok = ok
+	at.a.eng.ScheduleEvent(at.a.eng.Now()+at.hop, at, attemptReply, 0)
+}
+
+// WorkDropped implements cluster.Receiver: the callee's queue shed the
+// work, which still leaves a span.
+func (at *attempt) WorkDropped(uint64) {
+	a := at.a
+	a.Coord.Emit(trace.Span{
+		Trace: at.ctx.id, ID: at.spanID, Parent: at.parent,
+		Service: at.call.Service, Instance: at.target.ID,
+		Start: at.dispatch, End: a.eng.Now(), Background: at.background,
 	})
+	at.fail()
 }
 
 // runGroups executes the children of a call honoring composition modes:

@@ -252,13 +252,14 @@ func (rs *ReplicaSet) RemoveReplica(c *Container) bool {
 		if cc == c {
 			rs.containers = append(rs.containers[:i], rs.containers[i+1:]...)
 			c.ready = false
-			for _, qw := range c.queue {
+			for c.queue.n > 0 {
+				qw := c.queue.pop()
 				c.Dropped++
-				if qw.w.OnDrop != nil {
-					qw.w.OnDrop()
+				if qw.w.To != nil {
+					qw.w.To.WorkDropped(qw.w.Token)
 				}
 			}
-			c.queue = nil
+			c.queue = workQueue{}
 			c.node.detach(c)
 			return true
 		}

@@ -71,7 +71,7 @@ func TestDeployAndProcess(t *testing.T) {
 	c.Submit(Work{
 		Base:   10 * sim.Millisecond,
 		Demand: V(1, 100, 0.5, 0, 0),
-		OnDone: func(q, p sim.Time) { gotQ, gotP, done = q, p, true },
+		To:     callbacks{done: func(q, p sim.Time) { gotQ, gotP, done = q, p, true }},
 	})
 	eng.RunUntil(sim.Second)
 	if !done {
@@ -97,7 +97,7 @@ func TestQueueingDelay(t *testing.T) {
 		c.Submit(Work{
 			Base:   10 * sim.Millisecond,
 			Demand: V(1, 0, 0, 0, 0),
-			OnDone: func(q, p sim.Time) { queued = append(queued, q) },
+			To:     callbacks{done: func(q, p sim.Time) { queued = append(queued, q) }},
 		})
 	}
 	eng.RunUntil(sim.Second)
@@ -121,7 +121,7 @@ func TestWorkerPoolConcurrency(t *testing.T) {
 		c.Submit(Work{
 			Base:   10 * sim.Millisecond,
 			Demand: V(1, 0, 0, 0, 0),
-			OnDone: func(q, p sim.Time) { doneAt = append(doneAt, eng.Now()) },
+			To:     callbacks{done: func(q, p sim.Time) { doneAt = append(doneAt, eng.Now()) }},
 		})
 	}
 	eng.RunUntil(sim.Second)
@@ -150,7 +150,7 @@ func TestQueueOverflowDrops(t *testing.T) {
 		c.Submit(Work{
 			Base:   time10ms(),
 			Demand: V(1, 0, 0, 0, 0),
-			OnDrop: func() { drops++ },
+			To:     callbacks{drop: func() { drops++ }},
 		})
 	}
 	// 1 in flight + 2 queued; the remaining 2 dropped synchronously.
@@ -165,6 +165,106 @@ func TestQueueOverflowDrops(t *testing.T) {
 
 func time10ms() sim.Time { return 10 * sim.Millisecond }
 
+// callbacks adapts closures to Receiver; either may be nil.
+type callbacks struct {
+	done func(queued, processing sim.Time)
+	drop func()
+}
+
+func (c callbacks) WorkDone(_ uint64, queued, processing sim.Time) {
+	if c.done != nil {
+		c.done(queued, processing)
+	}
+}
+
+func (c callbacks) WorkDropped(uint64) {
+	if c.drop != nil {
+		c.drop()
+	}
+}
+
+// tokenLog records, in order, the tokens of completed and dropped work.
+type tokenLog struct{ done, dropped []uint64 }
+
+func (l *tokenLog) WorkDone(tok uint64, _, _ sim.Time) { l.done = append(l.done, tok) }
+func (l *tokenLog) WorkDropped(tok uint64)             { l.dropped = append(l.dropped, tok) }
+
+// wrappedQueue returns a one-worker container whose FIFO ring has wrapped:
+// tokens 0-2 are done, 3 is executing, and 4-10 are queued with the oldest
+// near the end of the ring's backing array and the newest at its start.
+func wrappedQueue(t *testing.T) (*sim.Engine, *ReplicaSet, *Container, *tokenLog) {
+	t.Helper()
+	eng, cl := testCluster(t, 1)
+	rs, _ := cl.DeployService("svc", 1, V(1, 10000, 38, 1000, 1000))
+	c := rs.Pick()
+	log := &tokenLog{}
+	submit := func(from, to uint64) {
+		for tok := from; tok <= to; tok++ {
+			c.Submit(Work{Base: 10 * sim.Millisecond, Demand: V(1, 0, 0, 0, 0), To: log, Token: tok})
+		}
+	}
+	submit(0, 5)
+	eng.RunUntil(25 * sim.Millisecond) // 0, 1 done at 10, 20ms; 2 executing
+	eng.Step()                         // 2 done at 30ms, 3 starts
+	submit(6, 10)
+	if len(log.done) != 3 || c.Busy() != 1 || c.QueueLen() != 7 {
+		t.Fatalf("setup: done %v, busy %d, queued %d; want 3 done, 1 busy, 7 queued", log.done, c.Busy(), c.QueueLen())
+	}
+	if c.queue.head+c.queue.n <= len(c.queue.buf) {
+		t.Fatalf("setup: ring not wrapped (head %d, len %d, cap %d)", c.queue.head, c.queue.n, len(c.queue.buf))
+	}
+	return eng, rs, c, log
+}
+
+func TestQueueRingFIFOAcrossWrap(t *testing.T) {
+	eng, _, c, log := wrappedQueue(t)
+	// Grow the wrapped ring: the copy must keep FIFO order.
+	for tok := uint64(11); tok <= 14; tok++ {
+		c.Submit(Work{Base: 10 * sim.Millisecond, Demand: V(1, 0, 0, 0, 0), To: log, Token: tok})
+	}
+	if c.QueueLen() != 11 {
+		t.Fatalf("QueueLen = %d after growth, want 11", c.QueueLen())
+	}
+	for want := 11; want >= 0; want-- {
+		if got := c.QueueLen(); got != want {
+			t.Fatalf("QueueLen = %d, want %d", got, want)
+		}
+		eng.Step()
+	}
+	eng.RunUntil(sim.Second)
+	for i, tok := range log.done {
+		if tok != uint64(i) {
+			t.Fatalf("completion order %v, want 0..14 in FIFO order", log.done)
+		}
+	}
+	if len(log.done) != 15 || len(log.dropped) != 0 {
+		t.Fatalf("done %v, dropped %v", log.done, log.dropped)
+	}
+}
+
+func TestRemoveReplicaDropsWrappedQueueInOrder(t *testing.T) {
+	eng, rs, c, log := wrappedQueue(t)
+	if !rs.RemoveReplica(c) {
+		t.Fatal("RemoveReplica failed")
+	}
+	want := []uint64{4, 5, 6, 7, 8, 9, 10}
+	if len(log.dropped) != len(want) {
+		t.Fatalf("dropped %v, want %v", log.dropped, want)
+	}
+	for i := range want {
+		if log.dropped[i] != want[i] {
+			t.Fatalf("dropped %v, want FIFO order %v", log.dropped, want)
+		}
+	}
+	if c.QueueLen() != 0 || c.Dropped != 7 {
+		t.Fatalf("after removal: QueueLen %d, Dropped %d", c.QueueLen(), c.Dropped)
+	}
+	eng.RunUntil(sim.Second) // the executing item still completes
+	if len(log.done) != 4 || log.done[3] != 3 {
+		t.Fatalf("done %v, want in-flight 3 to complete", log.done)
+	}
+}
+
 func TestNotReadyDrops(t *testing.T) {
 	eng, cl := testCluster(t, 1)
 	rs, _ := cl.DeployService("svc", 1, V(1, 1000, 4, 100, 100))
@@ -178,7 +278,7 @@ func TestNotReadyDrops(t *testing.T) {
 		t.Fatal("replica ready before start delay")
 	}
 	dropped := false
-	c2.Submit(Work{Base: sim.Millisecond, OnDrop: func() { dropped = true }})
+	c2.Submit(Work{Base: sim.Millisecond, To: callbacks{drop: func() { dropped = true }}})
 	if !dropped {
 		t.Fatal("submit to non-ready container must drop")
 	}
@@ -211,14 +311,14 @@ func TestContentionSlowdownNodeLevel(t *testing.T) {
 
 	var base sim.Time
 	c.Submit(Work{Base: 10 * sim.Millisecond, Demand: V(1, 500, 0, 0, 0),
-		OnDone: func(q, p sim.Time) { base = p }})
+		To: callbacks{done: func(q, p sim.Time) { base = p }}})
 	eng.RunUntil(sim.Second)
 
 	// Saturate node memory bandwidth 2x via injected anomaly.
 	node.SetInjectedLoad(V(0, 2*node.Capacity()[MemBW], 0, 0, 0))
 	var contended sim.Time
 	c.Submit(Work{Base: 10 * sim.Millisecond, Demand: V(1, 500, 0, 0, 0),
-		OnDone: func(q, p sim.Time) { contended = p }})
+		To: callbacks{done: func(q, p sim.Time) { contended = p }}})
 	eng.RunUntil(2 * sim.Second)
 
 	if contended <= base {
@@ -231,7 +331,7 @@ func TestContentionSlowdownNodeLevel(t *testing.T) {
 	node.SetInjectedLoad(Vector{})
 	var recovered sim.Time
 	c.Submit(Work{Base: 10 * sim.Millisecond, Demand: V(1, 500, 0, 0, 0),
-		OnDone: func(q, p sim.Time) { recovered = p }})
+		To: callbacks{done: func(q, p sim.Time) { recovered = p }}})
 	eng.RunUntil(3 * sim.Second)
 	if recovered != base {
 		t.Fatalf("after clearing anomaly, latency %v should return to %v", recovered, base)
@@ -244,13 +344,13 @@ func TestContainerTargetedCPUStressor(t *testing.T) {
 	c := rs.Pick()
 	var base sim.Time
 	c.Submit(Work{Base: 10 * sim.Millisecond, Demand: V(1, 0, 0, 0, 0),
-		OnDone: func(q, p sim.Time) { base = p }})
+		To: callbacks{done: func(q, p sim.Time) { base = p }}})
 	eng.RunUntil(sim.Second)
 
 	c.SetInjectedLoad(V(1, 0, 0, 0, 0)) // stressor eats a full core
 	var stressed sim.Time
 	c.Submit(Work{Base: 10 * sim.Millisecond, Demand: V(1, 0, 0, 0, 0),
-		OnDone: func(q, p sim.Time) { stressed = p }})
+		To: callbacks{done: func(q, p sim.Time) { stressed = p }}})
 	eng.RunUntil(2 * sim.Second)
 	if stressed <= base {
 		t.Fatalf("CPU stressor must slow container: base %v stressed %v", base, stressed)
@@ -270,13 +370,13 @@ func TestScaleUpMitigatesContention(t *testing.T) {
 	c := rs.Pick()
 	var before sim.Time
 	c.Submit(Work{Base: 10 * sim.Millisecond, Demand: V(1, 600, 0, 0, 0),
-		OnDone: func(q, p sim.Time) { before = p }})
+		To: callbacks{done: func(q, p sim.Time) { before = p }}})
 	eng.RunUntil(sim.Second)
 
 	c.SetLimits(V(2, 1000, 4, 100, 100))
 	var after sim.Time
 	c.Submit(Work{Base: 10 * sim.Millisecond, Demand: V(1, 600, 0, 0, 0),
-		OnDone: func(q, p sim.Time) { after = p }})
+		To: callbacks{done: func(q, p sim.Time) { after = p }}})
 	eng.RunUntil(2 * sim.Second)
 	if after >= before {
 		t.Fatalf("raising membw limit must reduce latency: before %v after %v", before, after)
@@ -422,7 +522,7 @@ func TestRemoveReplicaDropsQueuedWork(t *testing.T) {
 	drops := 0
 	for i := 0; i < 3; i++ {
 		c.Submit(Work{Base: 50 * sim.Millisecond, Demand: V(1, 0, 0, 0, 0),
-			OnDrop: func() { drops++ }})
+			To: callbacks{drop: func() { drops++ }}})
 	}
 	rs.RemoveReplica(c)
 	if drops != 2 { // 1 in flight, 2 queued -> dropped
@@ -450,7 +550,7 @@ func TestFractionalCPUInflatesServiceTime(t *testing.T) {
 	c := rs.Pick()
 	var p sim.Time
 	c.Submit(Work{Base: 10 * sim.Millisecond, Demand: V(0.4, 0, 0, 0, 0),
-		OnDone: func(q, pp sim.Time) { p = pp }})
+		To: callbacks{done: func(q, pp sim.Time) { p = pp }}})
 	eng.RunUntil(sim.Second)
 	if p < 19*sim.Millisecond {
 		t.Fatalf("0.5 CPU should roughly double 10ms work, got %v", p)
@@ -481,7 +581,7 @@ func TestPpc64ProfileSpeedFactor(t *testing.T) {
 	c := rs.Pick()
 	var p sim.Time
 	c.Submit(Work{Base: 10 * sim.Millisecond, Demand: V(1, 0, 0, 0, 0),
-		OnDone: func(q, pp sim.Time) { p = pp }})
+		To: callbacks{done: func(q, pp sim.Time) { p = pp }}})
 	eng.RunUntil(sim.Second)
 	want := sim.Time(float64(10*sim.Millisecond) * PowerProfile.SpeedFactor)
 	if p != want {
@@ -548,8 +648,10 @@ func TestPropertyConservationOfRequests(t *testing.T) {
 			c.Submit(Work{
 				Base:   sim.Millisecond,
 				Demand: V(1, 0, 0, 0, 0),
-				OnDone: func(q, p sim.Time) { done++ },
-				OnDrop: func() { dropped++ },
+				To: callbacks{
+					done: func(q, p sim.Time) { done++ },
+					drop: func() { dropped++ },
+				},
 			})
 		}
 		eng.RunUntil(sim.Hour)

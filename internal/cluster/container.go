@@ -9,20 +9,94 @@ import (
 
 // Work is a unit of local computation submitted to a container: the base
 // (uncontended) service time and the resource-demand rates held while the
-// work occupies a worker. OnDone receives the realized processing time and
-// the time spent queued; OnDrop fires instead if the container's queue is
-// full (the request is shed, counted in Fig. 10(c)).
+// work occupies a worker. To, if non-nil, is told how the work ended, and
+// Token is handed back with it.
 type Work struct {
 	Base   sim.Time
 	Demand Vector
-	OnDone func(queued, processing sim.Time)
-	OnDrop func()
+	To     Receiver
+	Token  uint64
+}
+
+// Receiver learns how submitted work ended. WorkDone receives the time the
+// work spent queued and its realized processing time; WorkDropped fires
+// instead if the container was not ready, its queue was full, or it was
+// retired with the work still queued (the request is shed, counted in
+// Fig. 10(c)). token is the submitter's Work.Token, so one long-lived
+// receiver can track many items by index without a closure per item.
+type Receiver interface {
+	WorkDone(token uint64, queued, processing sim.Time)
+	WorkDropped(token uint64)
 }
 
 type queuedWork struct {
 	w        Work
 	enqueued sim.Time
 }
+
+// workQueue is a container's FIFO: a ring buffer that doubles when full and
+// is otherwise reused, so steady-state Submit allocates nothing.
+type workQueue struct {
+	buf  []queuedWork
+	head int
+	n    int
+}
+
+//firmvet:noalloc
+func (q *workQueue) push(w queuedWork) {
+	if q.n == len(q.buf) {
+		q.grow()
+	}
+	i := q.head + q.n
+	if i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	q.buf[i] = w
+	q.n++
+}
+
+//firmvet:noalloc
+func (q *workQueue) pop() queuedWork {
+	w := q.buf[q.head]
+	q.buf[q.head] = queuedWork{} // do not pin the receiver
+	q.head++
+	if q.head == len(q.buf) {
+		q.head = 0
+	}
+	q.n--
+	return w
+}
+
+// grow doubles the ring, unwrapping it so the FIFO order starts at 0.
+func (q *workQueue) grow() {
+	buf := make([]queuedWork, max(8, 2*len(q.buf)))
+	for i := 0; i < q.n; i++ {
+		buf[i] = q.buf[(q.head+i)%len(q.buf)]
+	}
+	q.buf, q.head = buf, 0
+}
+
+// inflight is one executing work item: what its completion must release
+// and whom it must tell. It lives in the container's slot table while the
+// completion event is pending.
+type inflight struct {
+	demand     Vector
+	nodeDemand Vector
+	cpuCharge  float64
+	dur        sim.Time
+	queued     sim.Time
+	to         Receiver
+	token      uint64
+}
+
+// completion is the container viewed as the sim.Handler of its work
+// completion events; the event's first payload word is the slot index.
+type completion Container
+
+// Handle completes the work in slot.
+//
+//firmvet:noalloc
+func (d *completion) Handle(slot, _ uint64) { (*Container)(d).complete(uint32(slot)) }
 
 // Container is a deployed microservice instance: a FIFO request queue in
 // front of a worker pool whose concurrency tracks the container's CPU limit.
@@ -48,9 +122,14 @@ type Container struct {
 	limits Vector
 	ready  bool
 
-	queue   []queuedWork
+	queue   workQueue
 	busy    int
 	busyCPU float64 // usage accounted to node/container for in-flight work
+
+	// slots holds in-flight work, indexed by the completion event's
+	// payload; freeSlots lists released slots for LIFO reuse.
+	slots     []inflight
+	freeSlots []uint32
 
 	inject         Vector   // targeted anomaly load (e.g. CPU stressor in the pod)
 	nodeInjContrib Vector   // the portion of inject charged to the node
@@ -82,7 +161,7 @@ func (c *Container) Node() *Node { return c.node }
 func (c *Container) Ready() bool { return c.ready }
 
 // QueueLen returns the number of queued (not yet executing) work items.
-func (c *Container) QueueLen() int { return len(c.queue) }
+func (c *Container) QueueLen() int { return c.queue.n }
 
 // Busy returns the number of in-flight work items.
 func (c *Container) Busy() int { return c.busy }
@@ -163,23 +242,28 @@ func (c *Container) Utilization() Vector { return c.Usage().Div(c.limits) }
 
 // Submit enqueues work on the container. Work on a non-ready container or a
 // full queue is dropped.
+//
+//firmvet:noalloc
 func (c *Container) Submit(w Work) {
-	if !c.ready || len(c.queue) >= c.cfg.QueueCap {
+	if !c.ready || c.queue.n >= c.cfg.QueueCap {
 		c.Dropped++
-		if w.OnDrop != nil {
-			w.OnDrop()
+		if w.To != nil {
+			w.To.WorkDropped(w.Token)
 		}
 		return
 	}
-	c.queue = append(c.queue, queuedWork{w: w, enqueued: c.eng.Now()})
+	qw := queuedWork{w: w, enqueued: c.eng.Now()}
+	if c.queue.n == 0 && c.busy < c.workers() {
+		c.start(qw) // a free worker takes it at once; the ring is only for waiting work
+		return
+	}
+	c.queue.push(qw)
 	c.dispatch()
 }
 
 func (c *Container) dispatch() {
-	for c.busy < c.workers() && len(c.queue) > 0 {
-		qw := c.queue[0]
-		c.queue = c.queue[1:]
-		c.start(qw)
+	for c.busy < c.workers() && c.queue.n > 0 {
+		c.start(c.queue.pop())
 	}
 }
 
@@ -209,6 +293,7 @@ func (c *Container) factors(extra Vector) (total, cpuOnly float64) {
 	return math.Pow(total, c.cfg.SlowdownExp), math.Pow(cpuOnly, c.cfg.SlowdownExp)
 }
 
+//firmvet:noalloc
 func (c *Container) start(qw queuedWork) {
 	now := c.eng.Now()
 	// Admission factors include this request's own demand (with a full
@@ -237,6 +322,7 @@ func (c *Container) start(qw queuedWork) {
 		rng := c.noise
 		if rng == nil {
 			if c.hasNoise {
+				//firmvet:allow noalloc -- lazy per-container noise source, built on the container's first draw only
 				c.noise = rand.New(rand.NewSource(c.noiseSeed))
 				rng = c.noise
 			} else {
@@ -249,22 +335,42 @@ func (c *Container) start(qw queuedWork) {
 	if dur < 1 {
 		dur = 1
 	}
-	queued := now - qw.enqueued
-	c.eng.Schedule(dur, func() {
-		c.busy--
-		c.busyInt += float64(dur)
-		c.cpuActive -= cpuCharge
-		if c.cpuActive < 0 {
-			c.cpuActive = 0
-		}
-		c.curDemand = c.curDemand.Sub(qw.w.Demand).ClampNonNeg()
-		c.node.usage = c.node.usage.Sub(nodeDemand).ClampNonNeg()
-		c.Completed++
-		if qw.w.OnDone != nil {
-			qw.w.OnDone(queued, dur)
-		}
-		c.dispatch()
-	})
+	var slot uint32
+	if n := len(c.freeSlots); n > 0 {
+		slot = c.freeSlots[n-1]
+		c.freeSlots = c.freeSlots[:n-1]
+	} else {
+		slot = uint32(len(c.slots))
+		c.slots = append(c.slots, inflight{})
+	}
+	c.slots[slot] = inflight{
+		demand: qw.w.Demand, nodeDemand: nodeDemand, cpuCharge: cpuCharge,
+		dur: dur, queued: now - qw.enqueued, to: qw.w.To, token: qw.w.Token,
+	}
+	c.eng.ScheduleEvent(now+dur, (*completion)(c), uint64(slot), 0)
+}
+
+// complete retires the work in slot: release its resources, tell its
+// receiver, and hand the freed worker to the queue.
+//
+//firmvet:noalloc
+func (c *Container) complete(slot uint32) {
+	f := c.slots[slot]
+	c.slots[slot] = inflight{}
+	c.freeSlots = append(c.freeSlots, slot)
+	c.busy--
+	c.busyInt += float64(f.dur)
+	c.cpuActive -= f.cpuCharge
+	if c.cpuActive < 0 {
+		c.cpuActive = 0
+	}
+	c.curDemand = c.curDemand.Sub(f.demand).ClampNonNeg()
+	c.node.usage = c.node.usage.Sub(f.nodeDemand).ClampNonNeg()
+	c.Completed++
+	if f.to != nil {
+		f.to.WorkDone(f.token, f.queued, f.dur)
+	}
+	c.dispatch()
 }
 
 // effectiveNodeDemand converts per-request demand into node-level load,

@@ -33,6 +33,16 @@ func shardedFingerprint(t *testing.T, shards, workers int) string {
 	b.Eng.SetWorkers(workers)
 	b.AttachWorkload(workload.Constant{RPS: 80})
 	b.Eng.RunFor(3 * sim.Second)
+	// Request conservation: every submitted request is completed, dropped,
+	// or still in flight at the horizon — never lost or double-counted.
+	inFlight := b.App.InFlight()
+	if b.Gen.Submitted != b.App.Completed+b.App.Dropped+uint64(inFlight) {
+		t.Fatalf("shards=%d: submitted %d != completed %d + dropped %d + in flight %d",
+			shards, b.Gen.Submitted, b.App.Completed, b.App.Dropped, inFlight)
+	}
+	if inFlight == 0 {
+		t.Fatalf("shards=%d: no request in flight at the horizon; the check is vacuous", shards)
+	}
 	out += fmt.Sprintf("c=%d d=%d v=%d sub=%d nodes=%d",
 		b.App.Completed, b.App.Dropped, b.App.Violations, b.Gen.Submitted, b.NumNodes)
 	return out

@@ -309,14 +309,22 @@ func TestInjectionSlowsVictim(t *testing.T) {
 	eng, _, c, in := setup(t)
 	var clean sim.Time
 	c.Submit(cluster.Work{Base: 10 * sim.Millisecond, Demand: cluster.V(1, 500, 0, 0, 0),
-		OnDone: func(q, p sim.Time) { clean = p }})
+		To: callbacks{done: func(q, p sim.Time) { clean = p }}})
 	eng.RunUntil(sim.Second)
 	in.Inject(Injection{Kind: MemBWStress, Target: c, Intensity: 1, Duration: 10 * sim.Second})
 	var stressed sim.Time
 	c.Submit(cluster.Work{Base: 10 * sim.Millisecond, Demand: cluster.V(1, 500, 0, 0, 0),
-		OnDone: func(q, p sim.Time) { stressed = p }})
+		To: callbacks{done: func(q, p sim.Time) { stressed = p }}})
 	eng.RunUntil(2 * sim.Second)
 	if stressed <= clean {
 		t.Fatalf("membw anomaly must slow victim: %v vs %v", clean, stressed)
 	}
 }
+
+// callbacks adapts a completion closure to cluster.Receiver.
+type callbacks struct {
+	done func(queued, processing sim.Time)
+}
+
+func (c callbacks) WorkDone(_ uint64, queued, processing sim.Time) { c.done(queued, processing) }
+func (c callbacks) WorkDropped(uint64)                             {}

@@ -3,11 +3,13 @@
 // controller tick, the sliding tail-latency window, trace-window
 // selection, telemetry sampling, the batched DDPG train step (with its
 // retained per-sample reference), the incremental localization features,
-// and a double-buffered rollout round. `firmbench -bench` runs them and
-// records the results as a canonical BENCH_*.json (internal/report
-// floats), which is how the repo's perf trajectory is tracked across PRs
-// (`firmbench -bench-trend` tabulates it); `go test -bench` exposes the
-// same functions as ordinary benchmarks (bench_test.go).
+// a double-buffered rollout round, and the request path layer by layer
+// (engine event, container dispatch, app hop, whole request).
+// `firmbench -bench` runs them and records the results as a canonical
+// BENCH_*.json (internal/report floats), which is how the repo's perf
+// trajectory is tracked across PRs (`firmbench -bench-trend` tabulates
+// it); `go test -bench` exposes the same functions as ordinary benchmarks
+// (bench_test.go).
 //
 // Wall-clock (ns/op) varies by machine, but allocs/op, bytes/op, and the
 // comparison counts are exact and deterministic — those are the regression
@@ -16,8 +18,10 @@ package perf
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
+	"firm/internal/cluster"
 	"firm/internal/core"
 	"firm/internal/detect"
 	"firm/internal/harness"
@@ -59,6 +63,10 @@ func Benchmarks() []Benchmark {
 		{"topology-generate", "procedural generation + validation of a 1,000-service spec", TopologyGenerate},
 		{"topology-generate-10k", "procedural generation + validation of a 10,000-service spec (the sharded sweep's top cell)", TopologyGenerate10k},
 		{"workload-arrivals", "thinned arrival sampling: 10ms of a 2,600 rps spiked-diurnal bound", WorkloadArrivals},
+		{"engine-event", "one event dispatch plus the reschedule it makes, 4,096 pending (engine layer)", EngineEvent},
+		{"container-dispatch", "one work completion, resubmission and queue dispatch on a 4-worker container (cluster layer)", ContainerDispatch},
+		{"app-hop", "one 1-shard ShardedApp call: call mail, replica pick, work, result mail (app layer)", AppHop},
+		{"request-e2e", "one request of a 200-service generated spec on a 1-shard ShardedApp at 200 rps", RequestE2E},
 		{"shard-step", "one lookahead window of an 8-shard ring at steady state (mail routing + window barrier)", ShardStep},
 		{"scenario-step", "one armed fault-scenario tick: recompute and apply every active site's pressure", ScenarioStep},
 	}
@@ -494,11 +502,12 @@ func TopologyGenerate10k(b *testing.B) {
 // rings (every shard forwards one mail per window) plus one local
 // self-rescheduling event per shard. It covers outbox collection, inbox
 // heap routing, barrier bookkeeping, and the per-shard event loop — and
-// must run at 0 allocs/op: event records come from the engine freelist and
-// every mail buffer is reused, so a regression here means a per-event
-// allocation crept into the window path. Workers are pinned to 1 (the
-// inline path): goroutine handoff is measured by wall-clock elsewhere, and
-// allocation accounting must not depend on scheduler timing.
+// must run at 0 allocs/op: event records live in a reused slot table and
+// mails by value in reused heaps and buffers, so a regression here means
+// a per-event allocation crept into the window path. Workers are pinned
+// to 1 (the inline path): goroutine handoff is measured by wall-clock
+// elsewhere, and allocation accounting must not depend on scheduler
+// timing.
 func ShardStep(b *testing.B) {
 	const nShards = 8
 	const lookahead = 100 * sim.Microsecond
@@ -515,7 +524,7 @@ func ShardStep(b *testing.B) {
 		for j := 0; j < nShards; j++ {
 			r, j := r, j
 			next := (j + 1) % nShards
-			step[r][j] = func() { se.Send(j, next, lookahead, uint64(r), step[r][next]) }
+			step[r][j] = func() { se.Send(j, next, lookahead, sim.Func(step[r][next]), uint64(r), 0) }
 		}
 	}
 	local := make([]func(), nShards)
@@ -571,4 +580,164 @@ func ScenarioStep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p.StepNow()
 	}
+}
+
+// engineChurn reschedules each event it handles at a pseudo-random delay
+// of 1-1,024µs, so the engine's pending population stays constant.
+type engineChurn struct {
+	eng *sim.Engine
+	x   uint64
+}
+
+func (c *engineChurn) Handle(a, _ uint64) {
+	c.x = c.x*6364136223846793005 + 1442695040888963407
+	c.eng.ScheduleEvent(c.eng.Now()+1+sim.Time(c.x>>54), c, a, 0)
+}
+
+// EngineEvent measures the engine layer alone: one op pops the earliest of
+// 4,096 pending events, dispatches it to its handler, and pushes the event
+// the handler schedules. It must run at 0 allocs/op.
+func EngineEvent(b *testing.B) {
+	eng := sim.NewEngine(Seed)
+	h := &engineChurn{eng: eng, x: Seed}
+	for i := 0; i < 4096; i++ {
+		eng.ScheduleEvent(sim.Time(i%1024), h, uint64(i), 0)
+	}
+	for i := 0; i < 1<<16; i++ {
+		eng.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Step()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(eng.Pending()), "pending")
+}
+
+// dispatchLoop resubmits every work item that completes, keeping a fixed
+// number of items on its container.
+type dispatchLoop struct {
+	c *cluster.Container
+	w cluster.Work
+}
+
+func (l *dispatchLoop) WorkDone(token uint64, _, _ sim.Time) {
+	l.w.Token = token
+	l.c.Submit(l.w)
+}
+
+func (l *dispatchLoop) WorkDropped(uint64) { panic("perf: container-dispatch shed work") }
+
+// ContainerDispatch measures the cluster layer: one op is one completion
+// event on a 4-worker container holding 16 items, whose receiver
+// resubmits the item to the back of the FIFO while the freed worker takes
+// the queue's head. It must run at 0 allocs/op.
+func ContainerDispatch(b *testing.B) {
+	eng := sim.NewEngine(Seed)
+	cl := cluster.New(eng, cluster.DefaultConfig())
+	cl.AddNode(cluster.XeonProfile)
+	rs, err := cl.DeployService("svc", 1, cluster.V(4, 2000, 8, 200, 400))
+	if err != nil {
+		panic(fmt.Sprintf("perf: deploy failed: %v", err))
+	}
+	c := rs.Pick()
+	l := &dispatchLoop{c: c, w: cluster.Work{Base: sim.Millisecond, Demand: cluster.V(1, 300, 1, 10, 40)}}
+	l.w.To = l
+	for i := 0; i < 16; i++ {
+		l.w.Token = uint64(i)
+		c.Submit(l.w)
+	}
+	for i := 0; i < 1000; i++ {
+		eng.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Step()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(c.QueueLen()), "queued")
+}
+
+// requestPath returns a 1-shard sharded testbed on spec with the noise-free
+// default cluster, plus its engine.
+func requestPath(spec *topology.Spec) *harness.ShardedBench {
+	tb, err := harness.NewSharded(harness.ShardedOptions{Seed: Seed, Spec: spec, Shards: 1})
+	if err != nil {
+		panic(fmt.Sprintf("perf: sharded testbed failed: %v", err))
+	}
+	return tb
+}
+
+// AppHop measures the app layer: one op submits a request whose workflow
+// is a single 500µs call and runs the engine 2ms, through the call mail,
+// replica pick, container work and the result mail that finishes the
+// request. It must run at 0 allocs/op.
+func AppHop(b *testing.B) {
+	spec := &topology.Spec{
+		Name: "app-hop",
+		Services: map[string]*topology.Service{"svc": {Name: "svc", Class: topology.Logic, Replicas: 1,
+			Demand: cluster.V(1, 300, 1, 10, 40), Limits: cluster.V(2, 900, 3, 60, 150)}},
+		Endpoints:    []topology.Endpoint{{Name: "get", Weight: 1, Root: &topology.Call{Service: "svc", Compute: 500 * sim.Microsecond}}},
+		SLO:          500 * sim.Millisecond,
+		BaseRPCDelay: 300 * sim.Microsecond,
+	}
+	tb := requestPath(spec)
+	op := func() {
+		if err := tb.App.Submit("get", nil); err != nil {
+			panic(fmt.Sprintf("perf: submit failed: %v", err))
+		}
+		tb.Eng.RunFor(2 * sim.Millisecond)
+	}
+	for i := 0; i < 100; i++ {
+		op()
+	}
+	done0, steps0 := tb.App.Completed, tb.Eng.Steps()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	b.StopTimer()
+	if tb.App.Completed-done0 != uint64(b.N) {
+		panic(fmt.Sprintf("perf: app-hop completed %d of %d requests", tb.App.Completed-done0, b.N))
+	}
+	b.ReportMetric(float64(tb.Eng.Steps()-steps0)/float64(b.N), "events/op")
+}
+
+// RequestE2E measures the whole request path: a 200-service generated
+// spec (6 endpoints, fan-out 3, depth 6) on a 1-shard ShardedApp, one op
+// submitting one request from the endpoint mix and advancing 5ms, an
+// open-loop 200 rps. Requests overlap; per-request figures divide by the
+// ops. Warm-up first runs 1,000 requests, so pools, rings and the noise
+// sources the spec reaches exist before timing starts.
+func RequestE2E(b *testing.B) {
+	spec, err := topology.Generate(topology.Params{Services: 200, Endpoints: 6, MaxFanout: 3, Depth: 6}, Seed)
+	if err != nil {
+		panic(fmt.Sprintf("perf: generate failed: %v", err))
+	}
+	tb := requestPath(spec)
+	r := sim.Stream(Seed, "perf-request-e2e")
+	op := func() {
+		if _, err := tb.App.SubmitMix(r, nil); err != nil {
+			panic(fmt.Sprintf("perf: submit failed: %v", err))
+		}
+		tb.Eng.RunFor(5 * sim.Millisecond)
+	}
+	for i := 0; i < 1000; i++ {
+		op()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	steps0 := tb.Eng.Steps()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(tb.Eng.Steps()-steps0)/float64(b.N), "events/req")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs/req")
 }

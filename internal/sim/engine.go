@@ -5,6 +5,16 @@
 // control loop are all scheduled as events on a single logical clock. Using
 // a single-threaded event heap (rather than goroutines) keeps every
 // experiment bit-for-bit reproducible under a fixed seed.
+//
+// An event is a record, not a closure: a Handler plus two uint64 payload
+// words, kept in a reused slot table while a pointer-free (time, seq,
+// slot) key sits in the heap. Step calls Handle(a, b). The words
+// belong to the handler; hot paths keep one long-lived handler per
+// component and pass an index into the component's pooled state (and a
+// kind tag) in the words, so scheduling allocates nothing. A sharded
+// engine's mail carries the same pair, its key and one argument word.
+// Schedule and ScheduleAt adapt plain closures through Func for code off
+// the hot path.
 package sim
 
 import (
@@ -51,70 +61,97 @@ func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
 // fractional microseconds toward zero like FromSeconds.
 func FromMillis(ms float64) Time { return Time(ms * float64(Millisecond)) }
 
-// Event is a scheduled callback. Events with equal timestamps fire in
+// Handler is the target of an event or a mail. Step and the sharded
+// engine's delivery call Handle with the record's two payload words, whose
+// meaning belongs to the handler: hot-path models point a long-lived
+// handler at pooled state and pass the state's index (and a kind tag) in
+// the words, so scheduling needs no per-event closure. A mail's words are
+// its key and one argument word (see ShardedEngine.Send).
+type Handler interface {
+	Handle(a, b uint64)
+}
+
+// Func adapts a plain callback to Handler; its payload words are unused. A
+// func value is pointer-shaped, so converting one to a Handler stores it in
+// the interface directly and does not allocate. Schedule and ScheduleAt
+// use it, so cold call sites keep passing closures.
+type Func func()
+
+// Handle calls f.
+func (f Func) Handle(_, _ uint64) { f() }
+
+// event is one scheduled handler invocation, kept in the engine's record
+// table while it is pending.
+type event struct {
+	h    Handler
+	a, b uint64
+}
+
+// eventKey orders pending events. Events with equal timestamps fire in
 // scheduling order (FIFO), which the seq field enforces. (at, seq) is a
 // strict total order — seq is unique per engine — so the pop sequence is
-// the same for any heap arrangement.
-type event struct {
-	at  Time
-	seq uint64
-	fn  func()
+// the same for any heap arrangement. slot indexes the event's record.
+type eventKey struct {
+	at   Time
+	seq  uint64
+	slot uint32
 }
 
-// eventHeap is an inlined binary min-heap ordered by (at, seq). It replaces
-// container/heap: the interface indirection and interface{} boxing cost one
-// allocation plus several dynamic dispatches per event, which at 10,000
-// services is the dominant per-event constant factor (see internal/perf's
-// shard-step benchmark).
-type eventHeap []*event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (x *eventKey) before(y *eventKey) bool {
+	if x.at != y.at {
+		return x.at < y.at
 	}
-	return h[i].seq < h[j].seq
+	return x.seq < y.seq
 }
+
+// eventHeap is an inlined binary min-heap of keys ordered by (at, seq).
+// Keys hold no pointers, so sifting them costs no write barriers and the
+// collector never scans the heap; sifts move a hole instead of swapping.
+type eventHeap []eventKey
 
 //firmvet:noalloc
-func (h *eventHeap) push(e *event) {
-	*h = append(*h, e)
+func (h *eventHeap) push(k eventKey) {
+	*h = append(*h, k)
 	s := *h
 	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !s.less(i, parent) {
+		if !k.before(&s[parent]) {
 			break
 		}
-		s[i], s[parent] = s[parent], s[i]
+		s[i] = s[parent]
 		i = parent
 	}
+	s[i] = k
 }
 
 //firmvet:noalloc
-func (h *eventHeap) pop() *event {
+func (h *eventHeap) pop() eventKey {
 	s := *h
 	top := s[0]
 	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = nil
+	last := s[n]
 	s = s[:n]
 	*h = s
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && s.less(l, min) {
-			min = l
-		}
-		if r < n && s.less(r, min) {
-			min = r
-		}
-		if min == i {
+		min := 2*i + 1
+		if min >= n {
 			break
 		}
-		s[i], s[min] = s[min], s[i]
+		if r := min + 1; r < n && s[r].before(&s[min]) {
+			min = r
+		}
+		if !s[min].before(&last) {
+			break
+		}
+		s[i] = s[min]
 		i = min
 	}
+	s[i] = last
 	return top
 }
 
@@ -123,9 +160,11 @@ type Engine struct {
 	now    Time
 	seq    uint64
 	events eventHeap
-	// free recycles executed event records; at steady state the hot loop
-	// (pop → run → push) allocates nothing.
-	free   []*event
+	// recs holds pending events' records by slot; free lists the slots of
+	// executed ones for reuse, so at steady state scheduling allocates
+	// nothing.
+	recs   []event
+	free   []uint32
 	rng    *rand.Rand
 	nSteps uint64
 }
@@ -167,21 +206,32 @@ func (e *Engine) ScheduleAt(at Time, fn func()) {
 	if fn == nil {
 		panic("sim: ScheduleAt with nil callback")
 	}
+	e.ScheduleEvent(at, Func(fn), 0, 0)
+}
+
+// ScheduleEvent calls h.Handle(a, b) at the absolute simulated time at.
+// Times in the past are clamped to "now". It is the engine's one
+// scheduling primitive; Schedule and ScheduleAt adapt closures to it.
+//
+//firmvet:noalloc
+func (e *Engine) ScheduleEvent(at Time, h Handler, a, b uint64) {
+	if h == nil {
+		panic("sim: ScheduleEvent with nil handler")
+	}
 	if at < e.now {
 		at = e.now
 	}
 	e.seq++
-	var ev *event
+	var slot uint32
 	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
+		slot = e.free[n-1]
 		e.free = e.free[:n-1]
 	} else {
-		//firmvet:allow noalloc -- freelist warm-up miss; at steady state every pop feeds the freelist and this branch never runs
-		ev = &event{}
+		slot = uint32(len(e.recs))
+		e.recs = append(e.recs, event{})
 	}
-	ev.at, ev.seq, ev.fn = at, e.seq, fn
-	e.events.push(ev)
+	e.recs[slot] = event{h: h, a: a, b: b}
+	e.events.push(eventKey{at: at, seq: e.seq, slot: slot})
 }
 
 // Step executes the next pending event, advancing the clock to its
@@ -192,15 +242,13 @@ func (e *Engine) Step() bool {
 	if len(e.events) == 0 {
 		return false
 	}
-	ev := e.events.pop()
-	e.now = ev.at
+	k := e.events.pop()
+	ev := e.recs[k.slot]
+	e.recs[k.slot] = event{} // do not pin the handler
+	e.free = append(e.free, k.slot)
+	e.now = k.at
 	e.nSteps++
-	fn := ev.fn
-	// Recycle before running: fn may reschedule, and clearing the closure
-	// reference now keeps the freelist from pinning dead captures.
-	ev.fn = nil
-	e.free = append(e.free, ev)
-	fn()
+	ev.h.Handle(ev.a, ev.b)
 	return true
 }
 
@@ -232,8 +280,8 @@ func (e *Engine) Drain(maxEvents uint64) uint64 {
 // Ticker repeatedly invokes fn every period until Stop is called. The first
 // invocation happens one period after Start. Stop/Start cycles are
 // supported: each Start opens a new tick generation, so a restarted ticker
-// resumes ticking and a closure left over from before the Stop can never
-// fire again (it carries the old generation).
+// resumes ticking and a tick event left over from before the Stop can never
+// fire again (its payload word carries the old generation).
 type Ticker struct {
 	eng     *Engine
 	period  Time
@@ -260,19 +308,24 @@ func (t *Ticker) Start() {
 }
 
 // Stop prevents any future ticks. Safe to call multiple times; bumping the
-// generation invalidates the pending closure immediately instead of letting
+// generation invalidates the pending tick immediately instead of letting
 // it linger in the heap for up to one period.
 func (t *Ticker) Stop() {
 	t.stopped = true
 	t.gen++
 }
 
+// Handle implements Handler: it is the tick event of generation gen, which
+// fires fn and schedules the chain's next tick unless the generation has
+// been retired.
+func (t *Ticker) Handle(gen, _ uint64) {
+	if t.stopped || gen != t.gen {
+		return
+	}
+	t.fn()
+	t.schedule(gen)
+}
+
 func (t *Ticker) schedule(gen uint64) {
-	t.eng.Schedule(t.period, func() {
-		if t.stopped || gen != t.gen {
-			return
-		}
-		t.fn()
-		t.schedule(gen)
-	})
+	t.eng.ScheduleEvent(t.eng.now+t.period, t, gen, 0)
 }

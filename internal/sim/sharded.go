@@ -27,19 +27,20 @@ import (
 // shard engine's Rand. internal/app's ShardedApp and internal/harness's
 // sharded placement are built to those rules.
 
-// mail is one cross-shard message: fn runs on shard to at absolute time at.
-// Mails becoming due in the same delivery round are scheduled in (at, key)
-// order; key uniqueness per timestamp is what makes that order — and
-// therefore the destination shard's event sequence — independent of the
-// shard count. seq (assigned at collection, in deterministic shard order)
-// breaks residual ties so a fixed configuration is still reproducible even
-// if a model violates the uniqueness rule.
+// mail is one cross-shard message: h.Handle(key, arg) runs on shard to at
+// absolute time at. Mails becoming due in the same delivery round are
+// scheduled in (at, key) order; key uniqueness per timestamp is what makes
+// that order — and therefore the destination shard's event sequence —
+// independent of the shard count. seq (assigned at collection, in
+// deterministic shard order) breaks residual ties so a fixed configuration
+// is still reproducible even if a model violates the uniqueness rule.
 type mail struct {
 	at  Time
 	key uint64
+	arg uint64
 	seq uint64
+	h   Handler
 	to  int32
-	fn  func()
 }
 
 // mailHeap is an inlined binary min-heap of mails ordered by (at, key, seq).
@@ -76,7 +77,7 @@ func (h *mailHeap) pop() mail {
 	top := s[0]
 	n := len(s) - 1
 	s[0] = s[n]
-	s[n].fn = nil // do not pin the closure through the free tail
+	s[n].h = nil // do not pin the handler through the free tail
 	s = s[:n]
 	*h = s
 	i := 0
@@ -202,17 +203,19 @@ func (se *ShardedEngine) Steps() uint64 {
 	return n
 }
 
-// Send schedules fn on shard to at the sender's now + delay. from must be
-// the shard the caller is executing on (shard 0 during setup); delay must
-// be at least the lookahead — that bound is exactly what lets windows run
-// concurrently, so a shorter delay is a model error and panics. key orders
-// mails that become deliverable in the same round (see mail); fn runs on
-// the destination shard's goroutine.
+// Send schedules h.Handle(key, arg) on shard to at the sender's now +
+// delay. from must be the shard the caller is executing on (shard 0 during
+// setup); delay must be at least the lookahead — that bound is exactly what
+// lets windows run concurrently, so a shorter delay is a model error and
+// panics. key orders mails that become deliverable in the same round (see
+// mail); arg is a free payload word that never affects ordering. h runs on
+// the destination shard's goroutine, so it must touch only that shard's
+// state. Wrap a closure in Func to send it.
 //
 //firmvet:noalloc
-func (se *ShardedEngine) Send(from, to int, delay Time, key uint64, fn func()) {
-	if fn == nil {
-		panic("sim: Send with nil callback")
+func (se *ShardedEngine) Send(from, to int, delay Time, h Handler, key, arg uint64) {
+	if h == nil {
+		panic("sim: Send with nil handler")
 	}
 	if from < 0 || from >= len(se.shards) || to < 0 || to >= len(se.shards) {
 		panic(fmt.Sprintf("sim: Send %d→%d outside [0,%d)", from, to, len(se.shards)))
@@ -221,7 +224,7 @@ func (se *ShardedEngine) Send(from, to int, delay Time, key uint64, fn func()) {
 		panic(fmt.Sprintf("sim: Send delay %v below lookahead %v", delay, se.lookahead))
 	}
 	se.outbox[from] = append(se.outbox[from], mail{
-		at: se.shards[from].Now() + delay, key: key, to: int32(to), fn: fn,
+		at: se.shards[from].Now() + delay, key: key, arg: arg, to: int32(to), h: h,
 	})
 }
 
@@ -236,7 +239,7 @@ func (se *ShardedEngine) collect() {
 			m := ob[j]
 			m.seq = se.mailSeq
 			se.inbox.push(m)
-			ob[j].fn = nil // keep the reused buffer from pinning closures
+			ob[j].h = nil // keep the reused buffer from pinning handlers
 		}
 		se.outbox[i] = ob[:0]
 	}
@@ -251,7 +254,7 @@ func (se *ShardedEngine) collect() {
 func (se *ShardedEngine) deliver(until Time) {
 	for len(se.inbox) > 0 && se.inbox[0].at < until {
 		m := se.inbox.pop()
-		se.shards[m.to].ScheduleAt(m.at, m.fn)
+		se.shards[m.to].ScheduleEvent(m.at, m.h, m.key, m.arg)
 	}
 }
 

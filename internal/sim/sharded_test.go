@@ -36,7 +36,7 @@ func ringTrace(t *testing.T, actors, shards, workers int, rounds int) []string {
 				return
 			}
 			next := (a + 1) % actors
-			se.Send(home(a), home(next), L+jitter[a], uint64(a), hop(next, round+1))
+			se.Send(home(a), home(next), L+jitter[a], Func(hop(next, round+1)), uint64(a), 0)
 		}
 	}
 	for a := 0; a < actors; a++ {
@@ -85,7 +85,7 @@ func TestShardedEqualTimestampMailOrder(t *testing.T) {
 			i := i
 			se.Shard(i).Schedule(5, func() {
 				k := keys[i-1]
-				se.Send(i, 0, L, k, func() { order = append(order, k) })
+				se.Send(i, 0, L, Func(func() { order = append(order, k) }), k, 0)
 			})
 		}
 		se.RunUntil(1_000)
@@ -103,10 +103,10 @@ func TestShardedSameShardSendUsesSamePath(t *testing.T) {
 	se2 := NewShardedEngine(1, 2, L)
 	var at1, at2 Time
 	se1.Shard(0).Schedule(3, func() {
-		se1.Send(0, 0, L, 1, func() { at1 = se1.Shard(0).Now() })
+		se1.Send(0, 0, L, Func(func() { at1 = se1.Shard(0).Now() }), 1, 0)
 	})
 	se2.Shard(0).Schedule(3, func() {
-		se2.Send(0, 1, L, 1, func() { at2 = se2.Shard(1).Now() })
+		se2.Send(0, 1, L, Func(func() { at2 = se2.Shard(1).Now() }), 1, 0)
 	})
 	se1.RunUntil(100)
 	se2.RunUntil(100)
@@ -126,10 +126,10 @@ func TestShardedSendValidation(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("short delay", func() { se.Send(0, 1, 99, 0, func() {}) })
-	mustPanic("nil fn", func() { se.Send(0, 1, 100, 0, nil) })
-	mustPanic("bad from", func() { se.Send(-1, 1, 100, 0, func() {}) })
-	mustPanic("bad to", func() { se.Send(0, 2, 100, 0, func() {}) })
+	mustPanic("short delay", func() { se.Send(0, 1, 99, Func(func() {}), 0, 0) })
+	mustPanic("nil handler", func() { se.Send(0, 1, 100, nil, 0, 0) })
+	mustPanic("bad from", func() { se.Send(-1, 1, 100, Func(func() {}), 0, 0) })
+	mustPanic("bad to", func() { se.Send(0, 2, 100, Func(func() {}), 0, 0) })
 	mustPanic("zero shards", func() { NewShardedEngine(1, 0, 100) })
 	mustPanic("zero lookahead", func() { NewShardedEngine(1, 1, 0) })
 }
@@ -139,7 +139,7 @@ func TestShardedClockAndPending(t *testing.T) {
 	ran := false
 	se.Shard(1).Schedule(25, func() {
 		ran = true
-		se.Send(1, 0, 10, 0, func() {})
+		se.Send(1, 0, 10, Func(func() {}), 0, 0)
 	})
 	if se.Pending() != 1 {
 		t.Fatalf("Pending = %d, want 1", se.Pending())
