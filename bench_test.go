@@ -193,6 +193,7 @@ func BenchmarkTopologyGenerate10k(b *testing.B) { perf.TopologyGenerate10k(b) }
 func BenchmarkWorkloadArrivals(b *testing.B)    { perf.WorkloadArrivals(b) }
 func BenchmarkEngineEvent(b *testing.B)         { perf.EngineEvent(b) }
 func BenchmarkContainerDispatch(b *testing.B)   { perf.ContainerDispatch(b) }
+func BenchmarkReplicaPick(b *testing.B)         { perf.ReplicaPick(b) }
 func BenchmarkAppHop(b *testing.B)              { perf.AppHop(b) }
 func BenchmarkRequestE2E(b *testing.B)          { perf.RequestE2E(b) }
 func BenchmarkShardStep(b *testing.B)           { perf.ShardStep(b) }

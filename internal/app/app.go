@@ -3,6 +3,34 @@
 // requests through endpoint workflow trees (sequential, parallel, and
 // background composition), and emits spans to the tracing coordinator —
 // producing the execution history graphs FIRM's Extractor consumes.
+//
+// An App runs across the shards of a sim.ShardedEngine: every service's
+// replica set lives wholly on one shard (with its own cluster of nodes),
+// and every inter-service call — including calls between services that
+// share a shard — travels as a ShardedEngine mail. The paper testbed is the
+// degenerate case of one shard. Routing always paying the mail path is what
+// makes the execution identical at any shard count: a one-shard run
+// performs exactly the same sends with exactly the same keys as an
+// eight-shard run, so the event sequence (and therefore every latency,
+// drop, and counter) is byte-identical.
+//
+// Partition confinement fixes where each decision is made. Replica
+// selection happens on the callee's shard (the caller cannot touch another
+// shard's round-robin cursor), so a no-ready-replica shed — and an RPC
+// lost to an edge fault — is observed by the caller one round trip later.
+// Retries are scheduled by the caller when a shed result arrives. Edge
+// faults are applied by the callee, and their loss draws are a hash of the
+// fault seed and the call's mail key, so they never depend on which shard
+// draws them. The trace coordinator is a single-engine structure: spans are
+// emitted only when one is attached, and Deploy accepts one only on a
+// one-shard engine. The retry policy and edge faults are read by every
+// shard; arming them while a multi-shard run is in progress is a data race,
+// so mid-run arming is a one-shard feature.
+//
+// The request path allocates nothing at steady state. Each shard owns a
+// pool of call frames (one per call its services are serving) and is the
+// sim.Handler of every event and mail addressed to it; the payload words
+// name the frame. The home shard owns a pool of request records.
 package app
 
 import (
@@ -12,6 +40,7 @@ import (
 
 	"firm/internal/cluster"
 	"firm/internal/sim"
+	"firm/internal/stats"
 	"firm/internal/topology"
 	"firm/internal/trace"
 )
@@ -22,40 +51,6 @@ type Result struct {
 	Type    string
 	Latency sim.Time
 	Dropped bool
-}
-
-// App is a deployed application instance.
-type App struct {
-	Spec  *topology.Spec
-	Coord *trace.Coordinator
-
-	eng *sim.Engine
-	cl  *cluster.Cluster
-
-	// SLO is the end-to-end latency objective; Calibrate sets it from the
-	// uncontended latency profile.
-	SLO sim.Time
-
-	// Cumulative request counters.
-	Completed  uint64
-	Dropped    uint64
-	Violations uint64
-
-	// onResult, if set, observes every request outcome (used by workload
-	// recorders and the FIRM detector).
-	onResult func(Result)
-
-	// retry, if set, re-submits shed or dropped calls (client-side retry
-	// amplification — the retry-storm degradation mode). Nil means the
-	// pre-scenario behavior: one attempt per call.
-	retry *RetryPolicy
-
-	// edgeFaults, if non-empty, degrades specific caller→callee edges with
-	// added delay and probabilistic loss (partial network partitions).
-	// faultRng drives the loss draws; it must be scenario-seeded so runs
-	// stay deterministic per (Spec, seed).
-	edgeFaults map[Edge]EdgeFault
-	faultRng   *rand.Rand
 }
 
 // RetryPolicy models client-side retries: a shed or dropped call is
@@ -82,86 +77,338 @@ type EdgeFault struct {
 	Drop  float64
 }
 
-// SetRetryPolicy arms (or, with nil, disarms) client-side retries.
-func (a *App) SetRetryPolicy(p *RetryPolicy) { a.retry = p }
+// App is a deployed application instance.
+type App struct {
+	Spec *topology.Spec
+	// Coord, when non-nil, receives every call's client-observed span and
+	// assembles each request's trace. Only a one-shard app has one.
+	Coord *trace.Coordinator
 
-// RetryPolicy returns the armed retry policy, or nil.
-func (a *App) RetryPolicy() *RetryPolicy { return a.retry }
+	se       *sim.ShardedEngine
+	home     int
+	delay    sim.Time   // BaseRPCDelay; also the engine's lookahead
+	calls    []callInfo // by call index; read-only after Deploy
+	roots    []uint32   // root call index per endpoint, in Spec.Endpoints order
+	shards   []*appShard
+	clusters []*cluster.Cluster
 
-// SetEdgeFaults installs per-edge network faults. rng drives drop draws
-// and must be seeded via sim.DeriveSeed by the caller; a nil map (or nil
-// rng with any Drop > 0) restores fault-free behavior. No RNG is consumed
-// on edges without faults, so arming faults on edge X does not perturb
-// traffic elsewhere.
-func (a *App) SetEdgeFaults(faults map[Edge]EdgeFault, rng *rand.Rand) {
-	a.edgeFaults = faults
-	a.faultRng = rng
+	// SLO is the end-to-end latency objective (the spec's by default);
+	// Calibrate sets it from the uncontended latency profile.
+	SLO sim.Time
+
+	// Cumulative request counters; owned by the home shard.
+	Completed  uint64
+	Dropped    uint64
+	Violations uint64
+
+	// Request records and their free list; owned by the home shard.
+	reqs    []request
+	reqFree []uint32
+
+	nextTrace uint64
+	onResult  func(Result)
+
+	// retry, if set, re-submits shed or dropped calls (client-side retry
+	// amplification — the retry-storm degradation mode). Nil means one
+	// attempt per call.
+	retry *RetryPolicy
+
+	// faults holds each call's edge fault by call index (nil when no edge
+	// is degraded); faultSeed keys its loss draws.
+	faults    []EdgeFault
+	faultSeed uint64
 }
 
-// reqCtx tracks one in-flight request across its workflow closures.
-type reqCtx struct {
-	app         *App
-	id          trace.TraceID
-	typ         string
-	start       sim.Time
-	outstanding int  // spans not yet emitted (incl. background)
-	rootDone    bool // root call completed or dropped
-	dropped     bool
-	latency     sim.Time
-	onDone      func(Result)
-	finished    bool
+// callInfo is one workflow call resolved at deploy time, so a hop costs no
+// map lookup.
+type callInfo struct {
+	shard   int
+	rs      *cluster.ReplicaSet
+	service string
+	caller  string // the calling service, "client" for an endpoint root
+	compute sim.Time
+	demand  cluster.Vector
+	// bg lists the Background children, all fired when the call's own work
+	// is done; groups lists the awaited children in order, one group per
+	// run of consecutive Par children or per Seq child.
+	bg     []uint32
+	groups [][]uint32
 }
 
-// Deploy builds a cluster application: one replica set per service with the
-// spec's initial replica counts and limits. Containers start ready. Services
-// deploy in sorted name order so container IDs and placement are
-// reproducible run to run.
-func Deploy(eng *sim.Engine, cl *cluster.Cluster, spec *topology.Spec, coord *trace.Coordinator) (*App, error) {
-	a := &App{Spec: spec, Coord: coord, eng: eng, cl: cl, SLO: spec.SLO}
+// Mail-key layout: (trace << 29) | (call index << 9) | (attempt << 3) |
+// kind. Each (trace, call, attempt, kind) is sent at most once per
+// request, so keys are unique among mails sharing a timestamp — the
+// ShardedEngine contract. The kinds above dirDrained tag local events,
+// whose key word is never a mail key: the callee's arrival after the
+// instance hop, and the caller's retry after the backoff.
+const (
+	dirCall    = 0
+	dirResult  = 1
+	dirDrained = 2
+	evArrive   = 3
+	evRetry    = 4
+
+	maxCallIdx  = 1 << 20
+	maxAttempts = 1 << 6
+)
+
+func mailKey(tr uint64, idx, att uint32, dir uint64) uint64 {
+	return tr<<29 | uint64(idx)<<9 | uint64(att)<<3 | dir
+}
+
+// splitKey returns a key's trace, call index and attempt.
+func splitKey(key uint64) (tr uint64, idx, att uint32) {
+	return key >> 29, uint32(key>>9) & (maxCallIdx - 1), uint32(key>>3) & (maxAttempts - 1)
+}
+
+// A call mail's argument word names the caller: bits 0-31 index its frame
+// (or, with parentRequest, the home shard's request record) and bits 32-47
+// its shard. The callee keeps the word and returns it on its result and
+// drained mails, adding the outcome flags.
+const (
+	parentRequest = 1 << 48 // the caller is a request record, not a frame
+	parentBgChild = 1 << 49 // the caller does not await this call's result
+	resultOK      = 1 << 50 // the call succeeded
+	resultDrained = 1 << 51 // a result mail that also reports the drain
+	resultShed    = 1 << 52 // shed or lost before its work ran: retriable
+
+	resultFlags = resultOK | resultDrained | resultShed
+	maxShards   = 1 << 16
+)
+
+func parentWord(shard int, index uint32) uint64 { return uint64(shard)<<32 | uint64(index) }
+
+// Deploy builds an application over already-deployed per-shard clusters.
+// assign maps every service to its shard; clusters[i] is shard i's cluster
+// and must already hold replica sets for the services assigned to it (the
+// sharded harness deploys them with DeployServiceOn to realise a globally
+// computed placement). home is the shard that owns request admission and
+// result accounting; the workload generator must run on its engine. coord,
+// if non-nil, receives spans; it requires a one-shard engine and must be
+// built on that shard's engine.
+func Deploy(se *sim.ShardedEngine, spec *topology.Spec, home int, assign map[string]int, clusters []*cluster.Cluster, coord *trace.Coordinator) (*App, error) {
+	if len(clusters) != se.Shards() {
+		return nil, fmt.Errorf("app %s: %d clusters for %d shards", spec.Name, len(clusters), se.Shards())
+	}
+	if se.Shards() > maxShards {
+		return nil, fmt.Errorf("app %s: %d shards exceed the %d mail-argument limit", spec.Name, se.Shards(), maxShards)
+	}
+	if coord != nil && se.Shards() > 1 {
+		return nil, fmt.Errorf("app %s: a trace coordinator needs a one-shard engine, not %d shards", spec.Name, se.Shards())
+	}
+	if home < 0 || home >= se.Shards() {
+		return nil, fmt.Errorf("app %s: home shard %d out of range", spec.Name, home)
+	}
+	if spec.BaseRPCDelay < se.Lookahead() {
+		return nil, fmt.Errorf("app %s: BaseRPCDelay %v below engine lookahead %v", spec.Name, spec.BaseRPCDelay, se.Lookahead())
+	}
+	a := &App{
+		Spec:     spec,
+		Coord:    coord,
+		se:       se,
+		home:     home,
+		delay:    spec.BaseRPCDelay,
+		SLO:      spec.SLO,
+		shards:   make([]*appShard, se.Shards()),
+		clusters: clusters,
+	}
+	for i := range a.shards {
+		a.shards[i] = &appShard{app: a, id: i}
+	}
+	for _, name := range sortedServices(spec) {
+		sh, ok := assign[name]
+		if !ok || sh < 0 || sh >= se.Shards() {
+			return nil, fmt.Errorf("app %s: service %s has no valid shard assignment", spec.Name, name)
+		}
+		if clusters[sh].ReplicaSet(name) == nil {
+			return nil, fmt.Errorf("app %s: service %s not deployed on shard %d", spec.Name, name, sh)
+		}
+	}
+	// Number every workflow call by DFS in endpoint order — a pure function
+	// of the spec, so mail keys are identical at every shard count.
+	callIdx := make(map[*topology.Call]uint32)
+	var n uint32
+	for i := range spec.Endpoints {
+		topology.Walk(spec.Endpoints[i].Root, func(c *topology.Call) {
+			callIdx[c] = n
+			n++
+		})
+	}
+	if n >= maxCallIdx {
+		return nil, fmt.Errorf("app %s: %d workflow calls exceed the %d mail-key limit", spec.Name, n, maxCallIdx)
+	}
+	a.calls = make([]callInfo, n)
+	a.roots = make([]uint32, len(spec.Endpoints))
+	var err error
+	for i := range spec.Endpoints {
+		root := spec.Endpoints[i].Root
+		a.roots[i] = callIdx[root]
+		a.calls[callIdx[root]].caller = "client"
+		topology.Walk(root, func(c *topology.Call) {
+			svc, ok := spec.Services[c.Service]
+			if !ok {
+				err = fmt.Errorf("app %s: call to unknown service %s", spec.Name, c.Service)
+				return
+			}
+			sh := assign[c.Service]
+			ci := &a.calls[callIdx[c]]
+			ci.shard, ci.rs, ci.service = sh, clusters[sh].ReplicaSet(c.Service), c.Service
+			ci.compute, ci.demand = c.Compute, svc.Demand
+			kids := c.Children
+			for _, k := range kids {
+				a.calls[callIdx[k.Call]].caller = c.Service
+			}
+			for k := 0; k < len(kids); k++ {
+				switch kids[k].Mode {
+				case topology.Background:
+					ci.bg = append(ci.bg, callIdx[kids[k].Call])
+				case topology.Par:
+					g := []uint32{callIdx[kids[k].Call]}
+					for k+1 < len(kids) && kids[k+1].Mode == topology.Par {
+						k++
+						g = append(g, callIdx[kids[k].Call])
+					}
+					ci.groups = append(ci.groups, g)
+				case topology.Seq:
+					ci.groups = append(ci.groups, []uint32{callIdx[kids[k].Call]})
+				}
+			}
+		})
+	}
+	if err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// DeployOne deploys every service of spec on cl — the cluster of se's only
+// shard — in sorted name order, so container IDs and placement are
+// reproducible run to run, and builds the app over it. Containers start
+// ready. This is the paper testbed's shape.
+func DeployOne(se *sim.ShardedEngine, cl *cluster.Cluster, spec *topology.Spec, coord *trace.Coordinator) (*App, error) {
+	if se.Shards() != 1 {
+		return nil, fmt.Errorf("app %s: DeployOne needs a one-shard engine, not %d shards", spec.Name, se.Shards())
+	}
+	assign := make(map[string]int, len(spec.Services))
+	for _, name := range sortedServices(spec) {
+		svc := spec.Services[name]
+		if _, err := cl.DeployService(svc.Name, svc.Replicas, svc.Limits); err != nil {
+			return nil, fmt.Errorf("app %s: %w", spec.Name, err)
+		}
+		assign[name] = 0
+	}
+	return Deploy(se, spec, 0, assign, []*cluster.Cluster{cl}, coord)
+}
+
+func sortedServices(spec *topology.Spec) []string {
 	names := make([]string, 0, len(spec.Services))
 	for name := range spec.Services {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	for _, name := range names {
-		svc := spec.Services[name]
-		if _, err := cl.DeployService(svc.Name, svc.Replicas, svc.Limits); err != nil {
-			return nil, fmt.Errorf("app %s: %w", spec.Name, err)
-		}
-	}
-	return a, nil
+	return names
 }
 
-// Cluster returns the hosting cluster.
-func (a *App) Cluster() *cluster.Cluster { return a.cl }
+// Engine returns the home shard's engine (the workload generator's clock).
+func (a *App) Engine() *sim.Engine { return a.se.Shard(a.home) }
 
-// Engine returns the simulation engine.
-func (a *App) Engine() *sim.Engine { return a.eng }
+// Cluster returns the home shard's cluster — the whole cluster of a
+// one-shard app.
+func (a *App) Cluster() *cluster.Cluster { return a.clusters[a.home] }
 
 // SetResultHook registers an observer invoked for every request outcome.
 func (a *App) SetResultHook(fn func(Result)) { a.onResult = fn }
 
-// Submit issues one request of the named endpoint type. onDone may be nil.
+// SetRetryPolicy arms (or, with nil, disarms) client-side retries. Arm it
+// before a multi-shard run; a one-shard app may be re-armed mid-run.
+func (a *App) SetRetryPolicy(p *RetryPolicy) {
+	if p != nil && p.MaxRetries >= maxAttempts {
+		panic(fmt.Sprintf("app: %d retries exceed the %d-attempt mail-key limit", p.MaxRetries, maxAttempts))
+	}
+	a.retry = p
+}
+
+// RetryPolicy returns the armed retry policy, or nil.
+func (a *App) RetryPolicy() *RetryPolicy { return a.retry }
+
+// SetEdgeFaults installs per-edge network faults; an empty map restores
+// fault-free behaviour. Loss draws are a hash of seed (which the caller
+// derives with sim.DeriveSeed) and the call attempt's mail key, so they
+// are the same at any shard count and arming faults on edge X does not
+// perturb traffic elsewhere. Arm them before a multi-shard run; a
+// one-shard app may be re-armed mid-run.
+func (a *App) SetEdgeFaults(faults map[Edge]EdgeFault, seed int64) {
+	a.faultSeed = uint64(seed)
+	if len(faults) == 0 {
+		a.faults = nil
+		return
+	}
+	a.faults = make([]EdgeFault, len(a.calls))
+	for i := range a.calls {
+		a.faults[i] = faults[Edge{From: a.calls[i].caller, To: a.calls[i].service}]
+	}
+}
+
+// lost reports whether the call attempt with mail key key is lost to an
+// edge fault of loss probability p: a SplitMix64 hash of the fault seed
+// and the key, mapped to [0,1).
+func (a *App) lost(key uint64, p float64) bool {
+	h := a.faultSeed ^ key
+	h += 0x9e3779b97f4a7c15
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	h ^= h >> 31
+	return float64(h>>11)/(1<<53) < p
+}
+
+// InFlight returns the number of submitted requests that have not yet
+// finished: every request is submitted, then counted exactly once as
+// Completed or Dropped, so Completed + Dropped + InFlight() always equals
+// the number submitted. Like the counters, it belongs to the home shard.
+func (a *App) InFlight() int { return len(a.reqs) - len(a.reqFree) }
+
+// request is one in-flight request's record on the home shard.
+type request struct {
+	tr      uint64
+	typ     string
+	start   sim.Time
+	latency sim.Time
+	dropped bool
+	onDone  func(Result)
+}
+
+// Submit issues one request of the named endpoint type. It must be called
+// from the home shard (at setup time or from an event executing on it).
+// onDone may be nil.
 func (a *App) Submit(endpoint string, onDone func(Result)) error {
-	ep := a.Spec.EndpointByName(endpoint)
-	if ep == nil {
+	ep := -1
+	for i := range a.Spec.Endpoints {
+		if a.Spec.Endpoints[i].Name == endpoint {
+			ep = i
+			break
+		}
+	}
+	if ep < 0 {
 		return fmt.Errorf("app %s: unknown endpoint %q", a.Spec.Name, endpoint)
 	}
-	ctx := &reqCtx{
-		app:    a,
-		id:     a.Coord.StartTrace(ep.Name),
-		typ:    ep.Name,
-		start:  a.eng.Now(),
-		onDone: onDone,
+	name := a.Spec.Endpoints[ep].Name
+	var tr uint64
+	if a.Coord != nil {
+		tr = uint64(a.Coord.StartTrace(name))
+	} else {
+		a.nextTrace++
+		tr = a.nextTrace
 	}
-	a.exec(ctx, 0, "client", ep.Root, false, func(ok bool) {
-		ctx.rootDone = true
-		ctx.latency = a.eng.Now() - ctx.start
-		if !ok {
-			ctx.dropped = true
-		}
-		ctx.maybeFinish()
-	})
+	var r uint32
+	if n := len(a.reqFree); n > 0 {
+		r = a.reqFree[n-1]
+		a.reqFree = a.reqFree[:n-1]
+	} else {
+		r = uint32(len(a.reqs))
+		a.reqs = append(a.reqs, request{})
+	}
+	a.reqs[r] = request{tr: tr, typ: name, start: a.Engine().Now(), onDone: onDone}
+	a.call(a.home, tr, a.roots[ep], 0, parentRequest|parentWord(a.home, r))
 	return nil
 }
 
@@ -181,206 +428,19 @@ func (a *App) SubmitMix(r *rand.Rand, onDone func(Result)) (string, error) {
 	return name, a.Submit(name, onDone)
 }
 
-// exec runs one workflow call: route to a replica, wait in its queue, do
-// local compute, then run child groups, then report. Span.Start is arrival
-// at the container (so spans include queueing, as real tracing does).
-func (a *App) exec(ctx *reqCtx, parent trace.SpanID, caller string, call *topology.Call, background bool, onDone func(ok bool)) {
-	a.execAttempt(ctx, parent, caller, call, background, 0, onDone)
-}
-
-// attempt is one try of one workflow call. It handles the attempt's
-// engine events and receives its container work, so a hop costs one record
-// instead of a closure per callback.
-type attempt struct {
-	a          *App
-	ctx        *reqCtx
-	parent     trace.SpanID
-	caller     string
-	call       *topology.Call
-	background bool
-	n          int // retries before this attempt
-	onDone     func(ok bool)
-
-	target   *cluster.Container
-	spanID   trace.SpanID
-	dispatch sim.Time
-	hop      sim.Time
-	queued   sim.Time
-	ok       bool
-}
-
-// Event kinds of an attempt (the first payload word).
-const (
-	attemptArrive = iota // the request hop reached the callee
-	attemptReply         // the response hop reached the caller
-	attemptRetry         // the retry backoff elapsed
-)
-
-// execAttempt is one attempt of a workflow call. When a RetryPolicy is
-// armed, a shed, partition-dropped, or queue-dropped attempt re-submits
-// after Backoff; ctx.outstanding stays held across the wait so a trace
-// cannot seal under a pending retry (including background stragglers).
-func (a *App) execAttempt(ctx *reqCtx, parent trace.SpanID, caller string, call *topology.Call, background bool, n int, onDone func(ok bool)) {
-	ctx.outstanding++
-	at := &attempt{a: a, ctx: ctx, parent: parent, caller: caller, call: call, background: background, n: n, onDone: onDone}
-	rs := a.cl.ReplicaSet(call.Service)
-	var target *cluster.Container
-	if rs != nil {
-		target = rs.Pick()
+// finish runs on the home shard once request r's whole workflow tree —
+// background branches included — has drained. The trace is sealed and the
+// record released before the hooks run, so a hook may submit the next
+// request.
+func (a *App) finish(r uint32) {
+	st := a.reqs[r]
+	a.reqs[r] = request{}
+	a.reqFree = append(a.reqFree, r)
+	if a.Coord != nil {
+		a.Coord.Finish(trace.TraceID(st.tr), st.dropped)
 	}
-	if target == nil { // no ready replica: request shed at routing
-		at.fail()
-		return
-	}
-	at.target = target
-	at.spanID = a.Coord.NewSpanID()
-	// Spans are client-observed (Dapper-style): they cover the full RPC
-	// boundary including both network hops, so a tc-delay anomaly on the
-	// callee shows up in the callee's span — which is what the paper's
-	// localization relies on.
-	at.dispatch = a.eng.Now()
-	at.hop = a.Spec.BaseRPCDelay + target.NetDelay()
-	if len(a.edgeFaults) > 0 {
-		if f, ok := a.edgeFaults[Edge{From: caller, To: call.Service}]; ok {
-			if f.Drop > 0 && a.faultRng != nil && a.faultRng.Float64() < f.Drop {
-				at.fail() // RPC lost in the partition before reaching the callee
-				return
-			}
-			at.hop += f.Delay
-		}
-	}
-	a.eng.ScheduleEvent(at.dispatch+at.hop, at, attemptArrive, 0)
-}
-
-// fail ends this attempt: either hand the held outstanding slot to a
-// scheduled re-attempt, or report failure. The trailing maybeFinish is a
-// no-op on synchronous paths (the root is never done yet) but seals traces
-// whose last pending work was a failed asynchronous retry.
-func (at *attempt) fail() {
-	a := at.a
-	if a.retry != nil && at.n < a.retry.MaxRetries {
-		a.eng.ScheduleEvent(a.eng.Now()+a.retry.Backoff, at, attemptRetry, 0)
-		return
-	}
-	at.ctx.outstanding--
-	at.onDone(false)
-	at.ctx.maybeFinish()
-}
-
-// Handle implements sim.Handler for the attempt's events.
-func (at *attempt) Handle(kind, _ uint64) {
-	a := at.a
-	switch kind {
-	case attemptArrive:
-		at.target.Submit(cluster.Work{
-			Base:   at.call.Compute,
-			Demand: a.Spec.Services[at.call.Service].Demand,
-			To:     at,
-		})
-	case attemptReply:
-		a.Coord.Emit(trace.Span{
-			Trace:      at.ctx.id,
-			ID:         at.spanID,
-			Parent:     at.parent,
-			Service:    at.call.Service,
-			Instance:   at.target.ID,
-			Start:      at.dispatch,
-			End:        a.eng.Now(),
-			Queued:     at.queued,
-			Background: at.background,
-		})
-		at.ctx.outstanding--
-		at.onDone(at.ok)
-		at.ctx.maybeFinish()
-	case attemptRetry:
-		at.ctx.outstanding--
-		a.execAttempt(at.ctx, at.parent, at.caller, at.call, at.background, at.n+1, at.onDone)
-	}
-}
-
-// WorkDone implements cluster.Receiver: run the child groups, then take
-// the response hop back to the caller.
-func (at *attempt) WorkDone(_ uint64, queued, _ sim.Time) {
-	at.queued = queued
-	at.a.runGroups(at.ctx, at.spanID, at.call.Service, at.call.Children, at.childrenDone)
-}
-
-func (at *attempt) childrenDone(ok bool) {
-	at.ok = ok
-	at.a.eng.ScheduleEvent(at.a.eng.Now()+at.hop, at, attemptReply, 0)
-}
-
-// WorkDropped implements cluster.Receiver: the callee's queue shed the
-// work, which still leaves a span.
-func (at *attempt) WorkDropped(uint64) {
-	a := at.a
-	a.Coord.Emit(trace.Span{
-		Trace: at.ctx.id, ID: at.spanID, Parent: at.parent,
-		Service: at.call.Service, Instance: at.target.ID,
-		Start: at.dispatch, End: a.eng.Now(), Background: at.background,
-	})
-	at.fail()
-}
-
-// runGroups executes the children of a call honoring composition modes:
-// consecutive Par children form a concurrent group; Seq children are
-// barriers; Background children start when reached and are not awaited.
-func (a *App) runGroups(ctx *reqCtx, parent trace.SpanID, caller string, children []topology.Child, onDone func(ok bool)) {
-	// Partition into ordered groups.
-	type group struct {
-		calls []*topology.Call
-	}
-	var groups []group
-	for i := 0; i < len(children); i++ {
-		ch := children[i]
-		switch ch.Mode {
-		case topology.Background:
-			a.exec(ctx, parent, caller, ch.Call, true, func(bool) {})
-		case topology.Par:
-			g := group{calls: []*topology.Call{ch.Call}}
-			for i+1 < len(children) && children[i+1].Mode == topology.Par {
-				i++
-				g.calls = append(g.calls, children[i].Call)
-			}
-			groups = append(groups, g)
-		case topology.Seq:
-			groups = append(groups, group{calls: []*topology.Call{ch.Call}})
-		}
-	}
-	ok := true
-	var runGroup func(i int)
-	runGroup = func(i int) {
-		if i >= len(groups) {
-			onDone(ok)
-			return
-		}
-		remaining := len(groups[i].calls)
-		for _, c := range groups[i].calls {
-			a.exec(ctx, parent, caller, c, false, func(childOK bool) {
-				if !childOK {
-					ok = false
-				}
-				remaining--
-				if remaining == 0 {
-					runGroup(i + 1)
-				}
-			})
-		}
-	}
-	runGroup(0)
-}
-
-// maybeFinish seals the trace once the root has completed AND every span
-// (including background work) has been emitted, then reports the result.
-func (ctx *reqCtx) maybeFinish() {
-	if ctx.finished || !ctx.rootDone || ctx.outstanding != 0 {
-		return
-	}
-	ctx.finished = true
-	a := ctx.app
-	a.Coord.Finish(ctx.id, ctx.dropped)
-	res := Result{Trace: ctx.id, Type: ctx.typ, Latency: ctx.latency, Dropped: ctx.dropped}
-	if ctx.dropped {
+	res := Result{Trace: trace.TraceID(st.tr), Type: st.typ, Latency: st.latency, Dropped: st.dropped}
+	if st.dropped {
 		a.Dropped++
 	} else {
 		a.Completed++
@@ -391,8 +451,8 @@ func (ctx *reqCtx) maybeFinish() {
 	if a.onResult != nil {
 		a.onResult(res)
 	}
-	if ctx.onDone != nil {
-		ctx.onDone(res)
+	if st.onDone != nil {
+		st.onDone(res)
 	}
 }
 
@@ -402,40 +462,311 @@ func (ctx *reqCtx) maybeFinish() {
 // relative to normal-operation latency. It returns the measured P99 (ms).
 func (a *App) Calibrate(n int, margin float64) float64 {
 	var lats []float64
+	record := func(r Result) {
+		if !r.Dropped {
+			lats = append(lats, r.Latency.Millis())
+		}
+	}
+	eng := a.Engine()
 	interval := 5 * sim.Millisecond
 	t := sim.Time(0)
 	for i := 0; i < n; i++ {
 		for _, ep := range a.Spec.Endpoints {
 			name := ep.Name
-			a.eng.Schedule(t, func() {
-				_ = a.Submit(name, func(r Result) {
-					if !r.Dropped {
-						lats = append(lats, r.Latency.Millis())
-					}
-				})
-			})
+			eng.Schedule(t, func() { _ = a.Submit(name, record) })
 			t += interval
 		}
 	}
-	a.eng.RunUntil(a.eng.Now() + t + 30*sim.Second)
+	a.se.RunUntil(a.se.Now() + t + 30*sim.Second)
 	if len(lats) == 0 {
 		return 0
 	}
-	p99 := percentile(lats, 99)
+	p99 := stats.Percentile(lats, 99)
 	a.SLO = sim.FromMillis(p99 * margin)
 	return p99
 }
 
-func percentile(xs []float64, p float64) float64 {
-	s := append([]float64(nil), xs...)
-	for i := 1; i < len(s); i++ { // insertion sort; calibration sets are small
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
+// call dispatches attempt att of call idx of trace tr from the shard the
+// caller is executing on. parent names the caller (see parentWord): the
+// callee sends the call's result to it when the awaited subtree is done,
+// and its drain when the entire subtree, background branches included, has
+// finished. When both happen at the same instant they travel as one result
+// mail flagged resultDrained, applied result first.
+//
+//firmvet:noalloc
+func (a *App) call(from int, tr uint64, idx, att uint32, parent uint64) {
+	to := a.calls[idx].shard
+	a.se.Send(from, to, a.delay, a.shards[to], mailKey(tr, idx, att, dirCall), parent)
+}
+
+// reply sends a result or drained mail from shard from back to the caller
+// that parent names.
+//
+//firmvet:noalloc
+func (a *App) reply(from int, parent uint64, delay sim.Time, key, flags uint64) {
+	to := int(parent >> 32 & (maxShards - 1))
+	a.se.Send(from, to, delay, a.shards[to], key, parent|flags)
+}
+
+// appShard is one shard's part of an App: the sim.Handler of every event
+// and mail addressed to the shard, the cluster.Receiver of its containers'
+// work, and the owner of the frames of the calls its services serve. Only
+// the shard's own goroutine touches it.
+type appShard struct {
+	app    *App
+	id     int
+	frames []frame
+	free   []uint32 // released frame indices, reused LIFO
+}
+
+// frame is one call attempt being served: what the callee needs from the
+// moment the call mail arrives until its drained mail leaves.
+type frame struct {
+	tr         uint64
+	parent     uint64 // the call mail's argument word
+	target     *cluster.Container
+	hop        sim.Time // response delay: base RPC delay, edge delay and the instance's
+	start      sim.Time // when the caller dispatched the call (the span's Start)
+	queued     sim.Time
+	span       trace.SpanID
+	parentSpan trace.SpanID
+	idx        uint32
+	att        uint32
+	group      int32 // awaited child group in flight
+	remaining  int32 // calls of that group not yet answered
+	drainLeft  int32 // child subtrees, background included, not yet drained
+	ok         bool
+	resultSent bool
+}
+
+// Handle implements sim.Handler: key is a mail key (or, for the local
+// kinds, a key word tagged with one) and arg its argument word.
+//
+//firmvet:noalloc
+func (s *appShard) Handle(key, arg uint64) {
+	switch key & 7 {
+	case dirCall:
+		s.serve(key, arg)
+	case dirResult:
+		if arg&resultShed != 0 && s.retry(key, arg) {
+			return
 		}
+		s.childResult(arg)
+		if arg&resultDrained != 0 {
+			s.childDrained(arg)
+		}
+	case dirDrained:
+		s.childDrained(arg)
+	case evArrive:
+		fr := &s.frames[arg]
+		ci := &s.app.calls[fr.idx]
+		fr.target.Submit(cluster.Work{Base: ci.compute, Demand: ci.demand, To: s, Token: arg})
+	case evRetry:
+		tr, idx, att := splitKey(key)
+		s.app.call(s.id, tr, idx, att, arg)
 	}
-	if len(s) == 0 {
-		return 0
+}
+
+// retry runs on the caller's shard when a shed result arrives: if the
+// retry policy allows another attempt, it schedules the re-submission
+// after the backoff and reports true. The shed result and its drain are
+// then not applied, so the caller keeps waiting — and a trace cannot seal
+// under a pending retry.
+//
+//firmvet:noalloc
+func (s *appShard) retry(key, arg uint64) bool {
+	p := s.app.retry
+	tr, idx, att := splitKey(key)
+	if p == nil || int(att) >= p.MaxRetries {
+		return false
 	}
-	idx := int(p / 100 * float64(len(s)-1))
-	return s[idx]
+	eng := s.app.se.Shard(s.id)
+	eng.ScheduleEvent(eng.Now()+p.Backoff, s, mailKey(tr, idx, att+1, evRetry), arg&^resultFlags)
+	return true
+}
+
+// serve runs on the callee's shard: apply the edge fault, pick a replica,
+// pay the instance network delay, then occupy a worker for the compute
+// (WorkDone continues).
+//
+//firmvet:noalloc
+func (s *appShard) serve(key, parent uint64) {
+	a := s.app
+	tr, idx, att := splitKey(key)
+	var fault EdgeFault
+	if a.faults != nil {
+		fault = a.faults[idx]
+	}
+	if fault.Drop > 0 && a.lost(key, fault.Drop) { // lost before reaching the callee
+		a.reply(s.id, parent, a.delay, mailKey(tr, idx, att, dirResult), resultDrained|resultShed)
+		return
+	}
+	target := a.calls[idx].rs.Pick()
+	if target == nil { // no ready replica: shed at routing
+		a.reply(s.id, parent, a.delay, mailKey(tr, idx, att, dirResult), resultDrained|resultShed)
+		return
+	}
+	var f uint32
+	if n := len(s.free); n > 0 {
+		f = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		f = uint32(len(s.frames))
+		s.frames = append(s.frames, frame{})
+	}
+	eng := a.se.Shard(s.id)
+	nd := target.NetDelay() + fault.Delay
+	s.frames[f] = frame{tr: tr, parent: parent, target: target, hop: a.delay + nd, start: eng.Now() - a.delay, idx: idx, att: att, ok: true}
+	if a.Coord != nil {
+		s.openSpan(&s.frames[f])
+	}
+	eng.ScheduleEvent(eng.Now()+nd, s, mailKey(tr, idx, att, evArrive), uint64(f))
+}
+
+// openSpan gives frame fr its span ID and its caller's. A coordinator
+// implies one shard, so the caller's frame is in this shard's pool.
+func (s *appShard) openSpan(fr *frame) {
+	fr.span = s.app.Coord.NewSpanID()
+	if fr.parent&parentRequest == 0 {
+		fr.parentSpan = s.frames[uint32(fr.parent)].span
+	}
+}
+
+// emitSpan reports frame fr's client-observed span, which ends at end:
+// Dapper-style, it covers the full RPC boundary including both network
+// hops, so a delay anomaly on the callee shows up in the callee's span —
+// which is what the paper's localization relies on.
+func (s *appShard) emitSpan(fr *frame, end sim.Time) {
+	s.app.Coord.Emit(trace.Span{
+		Trace:      trace.TraceID(fr.tr),
+		ID:         fr.span,
+		Parent:     fr.parentSpan,
+		Service:    s.app.calls[fr.idx].service,
+		Instance:   fr.target.ID,
+		Start:      fr.start,
+		End:        end,
+		Queued:     fr.queued,
+		Background: fr.parent&parentBgChild != 0,
+	})
+}
+
+// WorkDropped implements cluster.Receiver: the replica shed the call, which
+// still leaves a span (ending at the shed) and fails back to the caller.
+//
+//firmvet:noalloc
+func (s *appShard) WorkDropped(token uint64) {
+	fr := &s.frames[token]
+	if s.app.Coord != nil {
+		s.emitSpan(fr, s.app.se.Shard(s.id).Now())
+	}
+	s.app.reply(s.id, fr.parent, fr.hop, mailKey(fr.tr, fr.idx, fr.att, dirResult), resultDrained|resultShed)
+	s.release(uint32(token))
+}
+
+// WorkDone implements cluster.Receiver: the call's own compute is done, so
+// run its children (consecutive Par children concurrent, Seq barriers,
+// Background fired and not awaited), then reply.
+//
+//firmvet:noalloc
+func (s *appShard) WorkDone(token uint64, queued, _ sim.Time) {
+	f := uint32(token)
+	fr := &s.frames[f]
+	fr.queued = queued
+	for _, c := range s.app.calls[fr.idx].bg {
+		fr.drainLeft++
+		s.app.call(s.id, fr.tr, c, 0, parentBgChild|parentWord(s.id, f))
+	}
+	s.runGroup(f, 0)
+}
+
+// runGroup calls every member of frame f's awaited group g, or sends the
+// result once all groups are done.
+//
+//firmvet:noalloc
+func (s *appShard) runGroup(f uint32, g int32) {
+	fr := &s.frames[f]
+	groups := s.app.calls[fr.idx].groups
+	if int(g) >= len(groups) {
+		s.sendResult(f)
+		return
+	}
+	fr.group, fr.remaining = g, int32(len(groups[g]))
+	for _, c := range groups[g] {
+		fr.drainLeft++
+		s.app.call(s.id, fr.tr, c, 0, parentWord(s.id, f))
+	}
+}
+
+// sendResult replies once the awaited groups finish. The drained mail
+// follows when every child subtree has drained; if that is already so —
+// a leaf call — the two collapse into one mail.
+//
+//firmvet:noalloc
+func (s *appShard) sendResult(f uint32) {
+	fr := &s.frames[f]
+	fr.resultSent = true
+	if s.app.Coord != nil {
+		s.emitSpan(fr, s.app.se.Shard(s.id).Now()+fr.hop)
+	}
+	var flags uint64
+	if fr.ok {
+		flags = resultOK
+	}
+	key := mailKey(fr.tr, fr.idx, fr.att, dirResult)
+	if fr.drainLeft == 0 {
+		s.app.reply(s.id, fr.parent, fr.hop, key, flags|resultDrained)
+		s.release(f)
+		return
+	}
+	s.app.reply(s.id, fr.parent, fr.hop, key, flags)
+}
+
+// childResult applies a result mail to the caller it names.
+//
+//firmvet:noalloc
+func (s *appShard) childResult(arg uint64) {
+	if arg&parentBgChild != 0 {
+		return // background results are not awaited
+	}
+	ok := arg&resultOK != 0
+	if arg&parentRequest != 0 {
+		st := &s.app.reqs[uint32(arg)]
+		st.latency = s.app.Engine().Now() - st.start
+		st.dropped = !ok
+		return
+	}
+	f := uint32(arg)
+	fr := &s.frames[f]
+	if !ok {
+		fr.ok = false
+	}
+	fr.remaining--
+	if fr.remaining == 0 {
+		s.runGroup(f, fr.group+1)
+	}
+}
+
+// childDrained applies a child subtree's drain to the caller it names.
+//
+//firmvet:noalloc
+func (s *appShard) childDrained(arg uint64) {
+	if arg&parentRequest != 0 {
+		s.app.finish(uint32(arg))
+		return
+	}
+	f := uint32(arg)
+	fr := &s.frames[f]
+	fr.drainLeft--
+	if fr.drainLeft == 0 && fr.resultSent {
+		s.app.reply(s.id, fr.parent, fr.hop, mailKey(fr.tr, fr.idx, fr.att, dirDrained), 0)
+		s.release(f)
+	}
+}
+
+// release returns frame f to the pool, dropping its container reference.
+//
+//firmvet:noalloc
+func (s *appShard) release(f uint32) {
+	s.frames[f] = frame{}
+	s.free = append(s.free, f)
 }

@@ -1,7 +1,6 @@
 package app
 
 import (
-	"math/rand"
 	"testing"
 
 	"firm/internal/cluster"
@@ -11,24 +10,25 @@ import (
 	"firm/internal/tracedb"
 )
 
-// harness deploys a spec on a fresh 4-node cluster with deterministic
-// service times and returns the pieces.
-func harness(t *testing.T, spec *topology.Spec, seed int64) (*sim.Engine, *App, *tracedb.Store) {
+// harness deploys a spec on a fresh 4-node one-shard cluster with
+// deterministic service times and returns the pieces. Tests advance time
+// through the returned engine and schedule on a.Engine().
+func harness(t *testing.T, spec *topology.Spec, seed int64) (*sim.ShardedEngine, *App, *tracedb.Store) {
 	t.Helper()
-	eng := sim.NewEngine(seed)
+	se := sim.NewShardedEngine(seed, 1, spec.BaseRPCDelay)
 	cfg := cluster.DefaultConfig()
 	cfg.NoiseSD = 0
-	cl := cluster.New(eng, cfg)
+	cl := cluster.New(se.Shard(0), cfg)
 	for i := 0; i < 4; i++ {
 		cl.AddNode(cluster.XeonProfile)
 	}
 	db := tracedb.New(10000)
-	coord := trace.NewCoordinator(eng, db)
-	a, err := Deploy(eng, cl, spec, coord)
+	coord := trace.NewCoordinator(se.Shard(0), db)
+	a, err := DeployOne(se, cl, spec, coord)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng, a, db
+	return se, a, db
 }
 
 func TestDeployCreatesAllServices(t *testing.T) {
@@ -165,7 +165,7 @@ func TestSubmitMixRespectsWeights(t *testing.T) {
 	r := sim.Stream(7, "mix")
 	for i := 0; i < 3000; i++ {
 		i := i
-		eng.Schedule(sim.Time(i)*sim.Millisecond*5, func() {
+		a.Engine().Schedule(sim.Time(i)*sim.Millisecond*5, func() {
 			a.SubmitMix(r, func(res Result) { counts[res.Type]++ })
 		})
 	}
@@ -235,7 +235,7 @@ func TestResultHookObservesAll(t *testing.T) {
 	a.SetResultHook(func(Result) { n++ })
 	for i := 0; i < 5; i++ {
 		i := i
-		eng.Schedule(sim.Time(i)*100*sim.Millisecond, func() { a.Submit("recommend", nil) })
+		a.Engine().Schedule(sim.Time(i)*100*sim.Millisecond, func() { a.Submit("recommend", nil) })
 	}
 	eng.RunUntil(sim.Minute)
 	if n != 5 {
@@ -272,6 +272,11 @@ func TestTraceLatencyMatchesResult(t *testing.T) {
 	if res.Latency > root.Duration()+10*sim.Millisecond {
 		t.Fatalf("result latency %v too far above root span %v", res.Latency, root.Duration())
 	}
+	// Without background work the trace seals when the response reaches the
+	// client, so the stored trace's latency is the request's.
+	if tr.Latency() != res.Latency {
+		t.Fatalf("trace latency %v != result latency %v", tr.Latency(), res.Latency)
+	}
 }
 
 func TestAllBenchmarksExecuteAllEndpoints(t *testing.T) {
@@ -302,7 +307,7 @@ func TestCoordinatorNoPendingLeak(t *testing.T) {
 	eng, a, _ := harness(t, topology.SocialNetwork(), 1)
 	for i := 0; i < 20; i++ {
 		i := i
-		eng.Schedule(sim.Time(i)*50*sim.Millisecond, func() { a.SubmitMix(sim.Stream(1, "x"), nil) })
+		a.Engine().Schedule(sim.Time(i)*50*sim.Millisecond, func() { a.SubmitMix(sim.Stream(1, "x"), nil) })
 	}
 	eng.RunUntil(sim.Minute)
 	if a.Coord.PendingCount() != 0 {
@@ -343,7 +348,7 @@ func TestRetryRecoversShedCall(t *testing.T) {
 			t.Fatal("could not remove svc-b replica")
 		}
 		// Capacity returns after 20ms; only a retrying client survives.
-		eng.Schedule(20*sim.Millisecond, func() {
+		a.Engine().Schedule(20*sim.Millisecond, func() {
 			if _, err := rs.AddReplica(limits, false, true); err != nil {
 				t.Fatal(err)
 			}
@@ -372,7 +377,7 @@ func TestRetryRecoversShedCall(t *testing.T) {
 func TestEdgeFaultDelayAddsToHops(t *testing.T) {
 	run := func(faults map[Edge]EdgeFault) Result {
 		eng, a, _ := harness(t, twoTierSpec(), 1)
-		a.SetEdgeFaults(faults, nil)
+		a.SetEdgeFaults(faults, 0)
 		var res Result
 		a.Submit("get", func(r Result) { res = r })
 		eng.RunUntil(eng.Now() + 5*sim.Second)
@@ -396,7 +401,7 @@ func TestEdgeFaultDropLosesRPC(t *testing.T) {
 	eng, a, db := harness(t, twoTierSpec(), 1)
 	a.SetEdgeFaults(map[Edge]EdgeFault{
 		{From: "svc-a", To: "svc-b"}: {Drop: 1},
-	}, rand.New(rand.NewSource(7)))
+	}, 7)
 	var res Result
 	done := false
 	a.Submit("get", func(r Result) { res = r; done = true })

@@ -9,13 +9,14 @@ import (
 	"firm/internal/cluster"
 	"firm/internal/sim"
 	"firm/internal/topology"
+	"firm/internal/trace"
 )
 
 // shardedBed deploys spec across shards with one node per service, so every
 // container's contention neighbourhood is the same at any shard count.
 // Services go to shards round-robin in sorted name order; the home shard is
 // the one hosting the first endpoint's root service.
-func shardedBed(t *testing.T, spec *topology.Spec, shards int, cfg cluster.Config) (*ShardedApp, []*cluster.Cluster) {
+func shardedBed(t *testing.T, spec *topology.Spec, shards int, cfg cluster.Config) (*App, []*cluster.Cluster) {
 	t.Helper()
 	se := sim.NewShardedEngine(1, shards, spec.BaseRPCDelay)
 	cfg.PerInstanceNoise = true
@@ -39,7 +40,7 @@ func shardedBed(t *testing.T, spec *topology.Spec, shards int, cfg cluster.Confi
 			t.Fatal(err)
 		}
 	}
-	a, err := DeploySharded(se, spec, assign[spec.Endpoints[0].Root.Service], assign, clusters)
+	a, err := Deploy(se, spec, assign[spec.Endpoints[0].Root.Service], assign, clusters, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ type observed struct {
 }
 
 // submitAt schedules one request of endpoint on the home shard at time at.
-func submitAt(t *testing.T, a *ShardedApp, at sim.Time, endpoint string, out *observed) {
+func submitAt(t *testing.T, a *App, at sim.Time, endpoint string, out *observed) {
 	t.Helper()
 	eng := a.Engine()
 	eng.Schedule(at-eng.Now(), func() {
@@ -98,7 +99,7 @@ func submitAt(t *testing.T, a *ShardedApp, at sim.Time, endpoint string, out *ob
 
 // assertDrained checks that once every request has finished, every pooled
 // request record and call frame is back on its free list.
-func assertDrained(t *testing.T, a *ShardedApp) {
+func assertDrained(t *testing.T, a *App) {
 	t.Helper()
 	if n := a.InFlight(); n != 0 {
 		t.Fatalf("%d requests still in flight", n)
@@ -209,7 +210,8 @@ func TestShardedShedAndFullQueueDrop(t *testing.T) {
 
 // shardedOutcomes drives a generated topology with a burst-heavy request
 // stream and returns every Result in completion order plus the counters.
-func shardedOutcomes(t *testing.T, shards int) string {
+// armed arms, before the run, client retries and a lossy, delayed edge.
+func shardedOutcomes(t *testing.T, shards int, armed bool) string {
 	t.Helper()
 	spec, err := topology.Generate(topology.Params{Services: 30, Endpoints: 3, MaxFanout: 3, Depth: 4}, 5)
 	if err != nil {
@@ -218,6 +220,13 @@ func shardedOutcomes(t *testing.T, shards int) string {
 	cfg := cluster.DefaultConfig()
 	cfg.QueueCap = 4
 	a, _ := shardedBed(t, spec, shards, cfg)
+	if armed {
+		a.SetRetryPolicy(&RetryPolicy{MaxRetries: 2, Backoff: 3 * sim.Millisecond})
+		e := spec.Edges()[0]
+		a.SetEdgeFaults(map[Edge]EdgeFault{
+			{From: e[0], To: e[1]}: {Delay: 2 * sim.Millisecond, Drop: 0.3},
+		}, sim.DeriveSeed(5, "edge-faults"))
+	}
 	var b strings.Builder
 	a.SetResultHook(func(r Result) {
 		fmt.Fprintf(&b, "%d %s %d %v\n", r.Trace, r.Type, r.Latency, r.Dropped)
@@ -238,13 +247,41 @@ func shardedOutcomes(t *testing.T, shards int) string {
 }
 
 func TestShardedResultsIdenticalAcrossShardCounts(t *testing.T) {
-	base := shardedOutcomes(t, 1)
-	if !strings.Contains(base, "true\n") || !strings.Contains(base, "false\n") {
-		t.Fatalf("workload should both complete and drop requests:\n%s", base)
-	}
-	for _, shards := range []int{2, 3} {
-		if got := shardedOutcomes(t, shards); got != base {
-			t.Fatalf("shards=%d diverged from shards=1:\n got: %.300s\nwant: %.300s", shards, got, base)
+	var unarmed string
+	for _, armed := range []bool{false, true} {
+		base := shardedOutcomes(t, 1, armed)
+		if !strings.Contains(base, "true\n") || !strings.Contains(base, "false\n") {
+			t.Fatalf("armed=%v: workload should both complete and drop requests:\n%s", armed, base)
 		}
+		for _, shards := range []int{2, 3} {
+			if got := shardedOutcomes(t, shards, armed); got != base {
+				t.Fatalf("armed=%v shards=%d diverged from shards=1:\n got: %.300s\nwant: %.300s", armed, shards, got, base)
+			}
+		}
+		if !armed {
+			unarmed = base
+		} else if base == unarmed {
+			t.Fatal("retries and the edge fault changed no outcome; the armed inputs are vacuous")
+		}
+	}
+}
+
+func TestDeployRejectsCoordinatorOnShards(t *testing.T) {
+	spec := compositionSpec()
+	a, clusters := shardedBed(t, spec, 2, cluster.DefaultConfig())
+	assign := make(map[string]int, len(spec.Services))
+	for name := range spec.Services {
+		for i, cl := range clusters {
+			if cl.ReplicaSet(name) != nil {
+				assign[name] = i
+			}
+		}
+	}
+	coord := trace.NewCoordinator(a.Engine(), nil)
+	if _, err := Deploy(a.se, spec, a.home, assign, clusters, coord); err == nil {
+		t.Fatal("a trace coordinator on a two-shard engine must be rejected")
+	}
+	if _, err := Deploy(a.se, spec, a.home, assign, clusters, nil); err != nil {
+		t.Fatalf("the same deployment without a coordinator: %v", err)
 	}
 }

@@ -61,7 +61,8 @@ func Fig1(sc Scale, seed int64) (*Fig1Result, error) {
 			b.AttachFIRM(cfg, core.SharedAgent{A: cloneAgent(base, seed)}, nil)
 		}
 		victim := b.Cluster.ReplicaSet("post-storage-mongodb").Containers()[0]
-		b.Eng.Schedule(anomalyStart, func() {
+		eng := b.Eng.Shard(0)
+		eng.Schedule(anomalyStart, func() {
 			b.Injector.Inject(injector.Injection{
 				Kind: injector.MemBWStress, Target: victim,
 				Intensity: 1, Duration: anomalyDur,
@@ -72,8 +73,8 @@ func Fig1(sc Scale, seed int64) (*Fig1Result, error) {
 			})
 		})
 		node := victim.Node()
-		tick := sim.NewTicker(b.Eng, sim.Second, func() {
-			lats := b.DB.Latencies(tracedb.Query{Since: b.Eng.Now() - 2*sim.Second})
+		tick := sim.NewTicker(eng, sim.Second, func() {
+			lats := b.DB.Latencies(tracedb.Query{Since: eng.Now() - 2*sim.Second})
 			if len(lats) > 0 {
 				p99s = append(p99s, stats.Percentile(lats, 99))
 			} else {
@@ -328,7 +329,7 @@ func (d *endpointDriver) start() {
 		if gap < 1 {
 			gap = 1
 		}
-		d.b.Eng.Schedule(gap, func() {
+		d.b.Eng.Shard(0).Schedule(gap, func() {
 			_ = d.b.App.Submit(d.endpoint, nil)
 			next()
 		})
@@ -507,7 +508,7 @@ func fig4Arm(seed int64, dur sim.Time, scale string) (fig4ArmStats, error) {
 	victim := b.Cluster.ReplicaSet("text").Containers()[0]
 	for at := 2 * sim.Second; at < dur; at += 5 * sim.Second {
 		at := at
-		b.Eng.Schedule(at, func() {
+		b.Eng.Shard(0).Schedule(at, func() {
 			b.Injector.Inject(injector.Injection{
 				Kind: injector.CPUStress, Target: victim, Intensity: 0.5,
 				Duration: 1500 * sim.Millisecond,

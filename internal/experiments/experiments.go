@@ -180,13 +180,13 @@ type violationMonitor struct {
 func attachViolationMonitor(b *harness.Bench) *violationMonitor {
 	m := &violationMonitor{b: b, mon: detect.NewMonitor(256), window: 2 * sim.Second}
 	b.DB.Observe(m.mon)
-	t := sim.NewTicker(b.Eng, sim.Second, m.tick)
+	t := sim.NewTicker(b.Eng.Shard(0), sim.Second, m.tick)
 	t.Start()
 	return m
 }
 
 func (m *violationMonitor) tick() {
-	now := m.b.Eng.Now()
+	now := m.b.Eng.Shard(0).Now()
 	m.mon.Advance(now - m.window)
 	violated := m.mon.Completed() > 0 && m.mon.P99() > m.b.App.SLO.Millis()
 	switch {
@@ -259,13 +259,13 @@ func runOnBench(b *harness.Bench, opts RunOpts) (RunStats, error) {
 
 	// Per-second CPU-limit sampling; per-10s drop windows.
 	var lastDropped uint64
-	cpuTicker := sim.NewTicker(b.Eng, sim.Second, func() {
+	cpuTicker := sim.NewTicker(b.Eng.Shard(0), sim.Second, func() {
 		for _, c := range b.Containers() {
 			st.CPULimitSamples = append(st.CPULimitSamples, c.Limits()[0]*100)
 		}
 	})
 	cpuTicker.Start()
-	dropTicker := sim.NewTicker(b.Eng, 10*sim.Second, func() {
+	dropTicker := sim.NewTicker(b.Eng.Shard(0), 10*sim.Second, func() {
 		cur := b.App.Dropped
 		st.DropsPerWindow = append(st.DropsPerWindow, float64(cur-lastDropped))
 		lastDropped = cur

@@ -170,27 +170,28 @@ func faultsweepArm(entry scenario.Entry, p topology.Params, dur sim.Time, seed i
 	b.AttachWorkload(workload.Constant{RPS: 120})
 
 	sc := faultsweepScenario(entry, spec, dur)
+	eng := b.Eng.Shard(0)
 	player, err := scenario.NewPlayer(scenario.Env{
-		Eng: b.Eng, Cluster: b.Cluster, Spec: spec,
+		Eng: eng, Cluster: b.Cluster, Spec: spec,
 		Injector: b.Injector, App: b.App,
 	}, sc, seed)
 	if err != nil {
 		return st, fmt.Errorf("faultsweep %s: %w", entry.Name, err)
 	}
-	start := b.Eng.Now() + faultsweepWarmup
+	start := eng.Now() + faultsweepWarmup
 	end := start + player.Horizon()
-	b.Eng.Schedule(faultsweepWarmup, player.Arm)
+	eng.Schedule(faultsweepWarmup, player.Arm)
 
 	var baseCompleted, baseViolations uint64
-	b.Eng.Schedule(faultsweepWarmup, func() {
+	eng.Schedule(faultsweepWarmup, func() {
 		baseCompleted, baseViolations = b.App.Completed, b.App.Violations
 	})
 
 	var lats []float64
 	truthWindows, locHits := 0, 0
 	cooldown := map[string]sim.Time{}
-	tick := sim.NewTicker(b.Eng, sim.Second, func() {
-		now := b.Eng.Now()
+	tick := sim.NewTicker(eng, sim.Second, func() {
+		now := eng.Now()
 		if now <= start {
 			return
 		}
@@ -245,7 +246,7 @@ func faultsweepArm(entry scenario.Entry, p topology.Params, dur sim.Time, seed i
 	})
 	tick.Start()
 	b.App.SetResultHook(func(r app.Result) {
-		if !r.Dropped && b.Eng.Now() > start {
+		if !r.Dropped && eng.Now() > start {
 			lats = append(lats, r.Latency.Millis())
 		}
 	})

@@ -46,8 +46,9 @@ func collectLocalizationSamples(spec *topology.Spec, seed int64, kinds []injecto
 
 	var samples []labelledSample
 	window := 2 * sim.Second
-	tick := sim.NewTicker(b.Eng, window, func() {
-		now := b.Eng.Now()
+	eng := b.Eng.Shard(0)
+	tick := sim.NewTicker(eng, window, func() {
+		now := eng.Now()
 		traces := b.DB.Select(tracedb.Query{Since: now - window})
 		truth := b.Injector.ActiveDuringOverlap(now-window, now, window*4/10)
 		for _, c := range ext.Features(traces) {

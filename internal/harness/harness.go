@@ -4,6 +4,13 @@
 // optionally — a resource-management policy (FIRM, the Kubernetes-HPA
 // baseline, or the AIMD baseline). Experiments, examples, and integration
 // tests all build on it.
+//
+// Both testbeds run on a sim.ShardedEngine and the one app.App. New builds
+// the paper testbed on one shard: the tracing pipeline, telemetry, deploy
+// module, injector and controllers bind to shard 0's engine, which they
+// read and schedule on from inside events. NewSharded partitions a
+// generated topology across shards for scale and has no tracing pipeline
+// or controller.
 package harness
 
 import (
@@ -60,10 +67,11 @@ func PaperNodes() []cluster.HardwareProfile {
 	return out
 }
 
-// Bench is an assembled testbed.
+// Bench is an assembled testbed. Eng advances it (Eng.RunFor); code that
+// runs inside the simulation — timers, hooks — uses Eng.Shard(0).
 type Bench struct {
 	Opts     Options
-	Eng      *sim.Engine
+	Eng      *sim.ShardedEngine
 	Cluster  *cluster.Cluster
 	DB       *tracedb.Store
 	Coord    *trace.Coordinator
@@ -97,7 +105,11 @@ func New(opts Options) (*Bench, error) {
 	if opts.MeterWindow <= 0 {
 		opts.MeterWindow = sim.Second
 	}
-	eng := sim.NewEngine(opts.Seed)
+	if opts.Spec.BaseRPCDelay <= 0 {
+		return nil, fmt.Errorf("harness: spec %s needs a positive BaseRPCDelay (it is the engine lookahead)", opts.Spec.Name)
+	}
+	se := sim.NewShardedEngine(opts.Seed, 1, opts.Spec.BaseRPCDelay)
+	eng := se.Shard(0)
 	ccfg := cluster.DefaultConfig()
 	if opts.ClusterConfig != nil {
 		ccfg = *opts.ClusterConfig
@@ -108,7 +120,7 @@ func New(opts Options) (*Bench, error) {
 	}
 	db := tracedb.New(opts.TraceCap)
 	coord := trace.NewCoordinator(eng, db)
-	a, err := app.Deploy(eng, cl, opts.Spec, coord)
+	a, err := app.DeployOne(se, cl, opts.Spec, coord)
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +130,7 @@ func New(opts Options) (*Bench, error) {
 	}
 	b := &Bench{
 		Opts:     opts,
-		Eng:      eng,
+		Eng:      se,
 		Cluster:  cl,
 		DB:       db,
 		Coord:    coord,

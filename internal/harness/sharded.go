@@ -25,14 +25,14 @@ type ShardedOptions struct {
 
 // ShardedBench is a testbed whose cluster and application are partitioned
 // across engine shards. It is intentionally leaner than Bench: no tracing
-// pipeline, telemetry collector, or controller — those are single-engine
-// structures, and the sharded path exists to push raw scale (ROADMAP
-// item 1's 10,000-service cells). Latencies are observed through the app's
-// result hook.
+// pipeline, telemetry collector, or controller — those bind to one shard's
+// engine, and the sharded path exists to push raw scale (the gensweep's
+// 10,000-service cells). Latencies are observed through the app's result
+// hook.
 type ShardedBench struct {
 	Opts     ShardedOptions
 	Eng      *sim.ShardedEngine
-	App      *app.ShardedApp
+	App      *app.App
 	Gen      *workload.Generator
 	Clusters []*cluster.Cluster
 	// NumNodes is the size of the virtual node fleet the placement opened.
@@ -61,7 +61,7 @@ func (b *ShardedBench) ShardOf(service string) int {
 // the spec — the fleet and every container's host node are identical at
 // every shard count, only the block boundaries move — which is half of the
 // byte-identical-across-shard-counts contract (the other half is
-// ShardedApp routing everything through engine mails).
+// the app routing everything through engine mails).
 func NewSharded(opts ShardedOptions) (*ShardedBench, error) {
 	if opts.Spec == nil {
 		return nil, fmt.Errorf("harness: Spec is required")
@@ -137,7 +137,7 @@ func NewSharded(opts ShardedOptions) (*ShardedBench, error) {
 		return nil, fmt.Errorf("harness: spec has no endpoints")
 	}
 	home := assign[spec.Endpoints[0].Root.Service]
-	a, err := app.DeploySharded(se, spec, home, assign, clusters)
+	a, err := app.Deploy(se, spec, home, assign, clusters, nil)
 	if err != nil {
 		return nil, err
 	}

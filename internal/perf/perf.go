@@ -4,7 +4,8 @@
 // selection, telemetry sampling, the batched DDPG train step (with its
 // retained per-sample reference), the incremental localization features,
 // a double-buffered rollout round, and the request path layer by layer
-// (engine event, container dispatch, app hop, whole request).
+// (engine event, container dispatch, replica pick, app hop, whole
+// request).
 // `firmbench -bench` runs them and records the results as a canonical
 // BENCH_*.json (internal/report floats), which is how the repo's perf
 // trajectory is tracked across PRs (`firmbench -bench-trend` tabulates
@@ -65,8 +66,9 @@ func Benchmarks() []Benchmark {
 		{"workload-arrivals", "thinned arrival sampling: 10ms of a 2,600 rps spiked-diurnal bound", WorkloadArrivals},
 		{"engine-event", "one event dispatch plus the reschedule it makes, 4,096 pending (engine layer)", EngineEvent},
 		{"container-dispatch", "one work completion, resubmission and queue dispatch on a 4-worker container (cluster layer)", ContainerDispatch},
-		{"app-hop", "one 1-shard ShardedApp call: call mail, replica pick, work, result mail (app layer)", AppHop},
-		{"request-e2e", "one request of a 200-service generated spec on a 1-shard ShardedApp at 200 rps", RequestE2E},
+		{"replica-pick", "one round-robin replica pick over 8 replicas, every other one still starting (cluster layer)", ReplicaPick},
+		{"app-hop", "one 1-shard App call: call mail, replica pick, work, result mail (app layer)", AppHop},
+		{"request-e2e", "one request of a 200-service generated spec on a 1-shard App at 200 rps", RequestE2E},
 		{"shard-step", "one lookahead window of an 8-shard ring at steady state (mail routing + window barrier)", ShardStep},
 		{"scenario-step", "one armed fault-scenario tick: recompute and apply every active site's pressure", ScenarioStep},
 	}
@@ -569,7 +571,7 @@ func ScenarioStep(b *testing.B) {
 		scenario.Mode(scenario.Metastable, 0.7, d),
 		scenario.Mode(scenario.Cascade, 0.7, d).WithProb(0.5),
 	)
-	p, err := scenario.NewPlayer(scenario.Env{Eng: tb.Eng, Cluster: tb.Cluster, Spec: spec}, sc, Seed)
+	p, err := scenario.NewPlayer(scenario.Env{Eng: tb.Eng.Shard(0), Cluster: tb.Cluster, Spec: spec}, sc, Seed)
 	if err != nil {
 		panic(fmt.Sprintf("perf: player failed: %v", err))
 	}
@@ -660,6 +662,35 @@ func ContainerDispatch(b *testing.B) {
 	b.ReportMetric(float64(c.QueueLen()), "queued")
 }
 
+// ReplicaPick measures replica selection, which every call pays on the
+// callee's shard: one op is one round-robin Pick on a service of 8
+// replicas where every other replica is still starting, so a pick scans
+// one or two containers. It must run at 0 allocs/op.
+func ReplicaPick(b *testing.B) {
+	eng := sim.NewEngine(Seed)
+	cl := cluster.New(eng, cluster.DefaultConfig())
+	cl.AddNode(cluster.XeonProfile)
+	cl.AddNode(cluster.XeonProfile)
+	rs, err := cl.DeployService("svc", 0, cluster.V(1, 300, 1, 10, 40))
+	if err != nil {
+		panic(fmt.Sprintf("perf: deploy failed: %v", err))
+	}
+	for i := 0; i < 8; i++ {
+		// The odd replicas' warm starts are scheduled but the engine never
+		// runs, so they stay not ready.
+		if _, err := rs.AddReplica(cluster.V(1, 300, 1, 10, 40), false, i%2 == 0); err != nil {
+			panic(fmt.Sprintf("perf: add replica failed: %v", err))
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rs.Pick() == nil {
+			panic("perf: replica-pick found no ready replica")
+		}
+	}
+}
+
 // requestPath returns a 1-shard sharded testbed on spec with the noise-free
 // default cluster, plus its engine.
 func requestPath(spec *topology.Spec) *harness.ShardedBench {
@@ -707,7 +738,7 @@ func AppHop(b *testing.B) {
 }
 
 // RequestE2E measures the whole request path: a 200-service generated
-// spec (6 endpoints, fan-out 3, depth 6) on a 1-shard ShardedApp, one op
+// spec (6 endpoints, fan-out 3, depth 6) on a 1-shard App, one op
 // submitting one request from the endpoint mix and advancing 5ms, an
 // open-loop 200 rps. Requests overlap; per-request figures divide by the
 // ops. Warm-up first runs 1,000 requests, so pools, rings and the noise

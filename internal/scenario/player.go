@@ -14,12 +14,16 @@ import (
 )
 
 // Env is everything a Player may touch. Eng, Cluster, and Spec are
-// required. Injector is optional: when present, every atom activation
+// required. Eng is the engine the player's timers run on: the shard that
+// owns Cluster (shard 0 of a harness.New testbed, App.Engine() of a
+// one-shard app); time itself advances through the sharded engine that
+// owns it. Injector is optional: when present, every atom activation
 // appends a ground-truth record to the shared injection history (so SVM
 // labels and localization scoring read one source of truth). App is
 // optional: retry storms and per-edge partitions need it; without an App,
 // RetryStorm degrades to pure victim pressure and Partition falls back to
-// victim-wide network delay.
+// victim-wide network delay. The player arms the App's retry policy and
+// edge faults mid-run, which only a one-shard App supports.
 type Env struct {
 	Eng      *sim.Engine
 	Cluster  *cluster.Cluster
@@ -90,8 +94,8 @@ type Player struct {
 	sites []site
 	tick  *sim.Ticker
 
-	rng    *rand.Rand // victim picks, cascade draws
-	appRng *rand.Rand // partition loss draws inside the app
+	rng       *rand.Rand // victim picks, cascade draws
+	faultSeed int64      // keys partition loss draws inside the app
 
 	faults map[app.Edge]app.EdgeFault
 
@@ -146,7 +150,7 @@ func NewPlayer(env Env, sc *Spec, seed int64) (*Player, error) {
 		seed:       seed,
 		TickPeriod: 250 * sim.Millisecond,
 		rng:        sim.Stream(sim.DeriveSeed(seed, "scenario-"+key), "scenario"),
-		appRng:     sim.Stream(sim.DeriveSeed(seed, "scenario-net-"+key), "scenario"),
+		faultSeed:  sim.DeriveSeed(seed, "scenario-net-"+key),
 		faults:     make(map[app.Edge]app.EdgeFault),
 	}
 	// Unpinned victims draw from the on-path pool: services that some
@@ -325,7 +329,7 @@ func (p *Player) activate(ai int) {
 				}
 				a.edges = append(a.edges, edge)
 			}
-			p.env.App.SetEdgeFaults(p.faults, p.appRng)
+			p.env.App.SetEdgeFaults(p.faults, p.faultSeed)
 		} else {
 			c.SetNetDelay(c.NetDelay() + delay)
 		}
@@ -359,11 +363,7 @@ func (p *Player) deactivate(ai int) {
 				delete(p.faults, e)
 			}
 			a.edges = a.edges[:0]
-			if len(p.faults) == 0 {
-				p.env.App.SetEdgeFaults(nil, nil)
-			} else {
-				p.env.App.SetEdgeFaults(p.faults, p.appRng)
-			}
+			p.env.App.SetEdgeFaults(p.faults, p.faultSeed) // empty disarms
 		} else if c := p.sites[a.sites[0]].c; c != nil {
 			delay := sim.Time(a.spec.Intensity * 80 * float64(sim.Millisecond))
 			c.SetNetDelay(c.NetDelay() - delay)

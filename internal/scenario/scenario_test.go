@@ -36,11 +36,12 @@ func twoTier() *topology.Spec {
 	}
 }
 
-// testEnv deploys spec on a fresh 4-node cluster and returns a fully
-// wired Env (app + injector).
-func testEnv(t *testing.T, spec *topology.Spec, seed int64) Env {
+// testEnv deploys spec on a fresh 4-node one-shard cluster and returns a
+// fully wired Env (app + injector) and the engine that advances it.
+func testEnv(t *testing.T, spec *topology.Spec, seed int64) (Env, *sim.ShardedEngine) {
 	t.Helper()
-	eng := sim.NewEngine(seed)
+	se := sim.NewShardedEngine(seed, 1, spec.BaseRPCDelay)
+	eng := se.Shard(0)
 	cfg := cluster.DefaultConfig()
 	cfg.NoiseSD = 0
 	cl := cluster.New(eng, cfg)
@@ -49,11 +50,11 @@ func testEnv(t *testing.T, spec *topology.Spec, seed int64) Env {
 	}
 	db := tracedb.New(10000)
 	coord := trace.NewCoordinator(eng, db)
-	a, err := app.Deploy(eng, cl, spec, coord)
+	a, err := app.DeployOne(se, cl, spec, coord)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Env{Eng: eng, Cluster: cl, Spec: spec, Injector: injector.New(eng, seed), App: a}
+	return Env{Eng: eng, Cluster: cl, Spec: spec, Injector: injector.New(eng, seed), App: a}, se
 }
 
 func TestCatalogKeysStableUniqueValid(t *testing.T) {
@@ -79,15 +80,15 @@ func TestCatalogKeysStableUniqueValid(t *testing.T) {
 
 func TestValidateRejects(t *testing.T) {
 	bad := []*Spec{
-		Mode(MemLeak, 0, 10*sim.Second),                        // zero intensity
-		Mode(MemLeak, 1.5, 10*sim.Second),                      // >1
-		Mode(Plateau, 0.5, 0),                                  // zero duration
-		Mode(Family(99), 0.5, sim.Second),                      // unknown family
-		Mode(Cascade, 0.5, sim.Second).WithProb(2),             // bad prob
-		Mode(Plateau, 0.5, sim.Second).On("a/b"),               // slash in target
-		Sequence(0),                                            // empty composition
-		Sequence(-sim.Second, Mode(Plateau, 0.5, sim.Second)),  // negative gap
-		Mode(Plateau, 0.5, sim.Second).After(-sim.Second),      // negative offset
+		Mode(MemLeak, 0, 10*sim.Second),                       // zero intensity
+		Mode(MemLeak, 1.5, 10*sim.Second),                     // >1
+		Mode(Plateau, 0.5, 0),                                 // zero duration
+		Mode(Family(99), 0.5, sim.Second),                     // unknown family
+		Mode(Cascade, 0.5, sim.Second).WithProb(2),            // bad prob
+		Mode(Plateau, 0.5, sim.Second).On("a/b"),              // slash in target
+		Sequence(0),                                           // empty composition
+		Sequence(-sim.Second, Mode(Plateau, 0.5, sim.Second)), // negative gap
+		Mode(Plateau, 0.5, sim.Second).After(-sim.Second),     // negative offset
 	}
 	for i, sc := range bad {
 		if err := sc.Validate(); err == nil {
@@ -118,7 +119,7 @@ func TestCompositionTiming(t *testing.T) {
 }
 
 func TestLeakRampsAndCrashLoops(t *testing.T) {
-	env := testEnv(t, twoTier(), 1)
+	env, se := testEnv(t, twoTier(), 1)
 	p, err := NewPlayer(env, Mode(MemLeak, 0.8, 6*sim.Second).On("backend"), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +134,7 @@ func TestLeakRampsAndCrashLoops(t *testing.T) {
 	env.Eng.Schedule(1900*sim.Millisecond, func() {
 		late = env.Cluster.ReplicaSet("backend").Containers()[0].InjectedLoad()[cluster.MemBW]
 	})
-	env.Eng.RunUntil(8 * sim.Second)
+	se.RunUntil(8 * sim.Second)
 
 	if !(early > 0 && late > early) {
 		t.Fatalf("leak should ramp: early=%v late=%v", early, late)
@@ -155,13 +156,13 @@ func TestLeakRampsAndCrashLoops(t *testing.T) {
 }
 
 func TestMetastableReleasesWhenIdle(t *testing.T) {
-	env := testEnv(t, twoTier(), 1)
+	env, se := testEnv(t, twoTier(), 1)
 	p, err := NewPlayer(env, Mode(Metastable, 0.8, 9*sim.Second).On("backend"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Arm()
-	env.Eng.RunUntil(11 * sim.Second)
+	se.RunUntil(11 * sim.Second)
 	c := env.Cluster.ReplicaSet("backend").Containers()[0]
 	if got := c.InjectedLoad(); got != (cluster.Vector{}) {
 		t.Fatalf("idle victim should escape the metastable state: %v", got)
@@ -178,7 +179,7 @@ func TestMetastableReleasesWhenIdle(t *testing.T) {
 }
 
 func TestMetastablePinnedUnderLoad(t *testing.T) {
-	env := testEnv(t, twoTier(), 1)
+	env, se := testEnv(t, twoTier(), 1)
 	c := env.Cluster.ReplicaSet("backend").Containers()[0]
 	// Standing external pressure: enough that trigger + feedback keeps
 	// utilization above the sustain threshold.
@@ -192,7 +193,7 @@ func TestMetastablePinnedUnderLoad(t *testing.T) {
 	p.Arm()
 	var midFeedback cluster.Vector
 	env.Eng.Schedule(6*sim.Second, func() { midFeedback = c.InjectedLoad() })
-	env.Eng.RunUntil(11 * sim.Second)
+	se.RunUntil(11 * sim.Second)
 	if midFeedback[cluster.CPU] <= base[cluster.CPU] {
 		t.Fatalf("feedback should pin load after the trigger clears: %v", midFeedback)
 	}
@@ -206,13 +207,13 @@ func TestMetastablePinnedUnderLoad(t *testing.T) {
 }
 
 func TestCascadeInfectsCallers(t *testing.T) {
-	env := testEnv(t, twoTier(), 1)
+	env, se := testEnv(t, twoTier(), 1)
 	p, err := NewPlayer(env, Mode(Cascade, 0.8, 12*sim.Second).On("backend").WithProb(1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Arm()
-	env.Eng.RunUntil(14 * sim.Second)
+	se.RunUntil(14 * sim.Second)
 	if p.Infections != 1 {
 		t.Fatalf("Infections = %d, want 1 (frontend)", p.Infections)
 	}
@@ -239,7 +240,7 @@ func TestCascadeInfectsCallers(t *testing.T) {
 }
 
 func TestPartitionDegradesThenClears(t *testing.T) {
-	env := testEnv(t, twoTier(), 1)
+	env, se := testEnv(t, twoTier(), 1)
 	p, err := NewPlayer(env, Mode(Partition, 0.9, 5*sim.Second).On("backend"), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +253,7 @@ func TestPartitionDegradesThenClears(t *testing.T) {
 	env.Eng.Schedule(8*sim.Second, func() {
 		env.App.Submit("get", func(r app.Result) { after = r })
 	})
-	env.Eng.RunUntil(12 * sim.Second)
+	se.RunUntil(12 * sim.Second)
 	degraded := during.Dropped || during.Latency > after.Latency+100*sim.Millisecond
 	if !degraded {
 		t.Fatalf("partition should degrade the edge: during=%+v after=%+v", during, after)
@@ -263,7 +264,7 @@ func TestPartitionDegradesThenClears(t *testing.T) {
 }
 
 func TestRetryStormArmsAndDisarms(t *testing.T) {
-	env := testEnv(t, twoTier(), 1)
+	env, se := testEnv(t, twoTier(), 1)
 	p, err := NewPlayer(env, Mode(RetryStorm, 0.6, 5*sim.Second).On("backend"), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +272,7 @@ func TestRetryStormArmsAndDisarms(t *testing.T) {
 	p.Arm()
 	var mid *app.RetryPolicy
 	env.Eng.Schedule(2*sim.Second, func() { mid = env.App.RetryPolicy() })
-	env.Eng.RunUntil(7 * sim.Second)
+	se.RunUntil(7 * sim.Second)
 	if mid == nil || mid.MaxRetries < 1 {
 		t.Fatalf("retry policy should be armed mid-scenario: %+v", mid)
 	}
@@ -282,7 +283,7 @@ func TestRetryStormArmsAndDisarms(t *testing.T) {
 
 func TestDeterministicPerSeed(t *testing.T) {
 	run := func(seed int64) []injector.Record {
-		env := testEnv(t, topology.SocialNetwork(), seed)
+		env, se := testEnv(t, topology.SocialNetwork(), seed)
 		entry, ok := ByName("cascade-then-partition")
 		if !ok {
 			t.Fatal("catalog entry missing")
@@ -292,7 +293,7 @@ func TestDeterministicPerSeed(t *testing.T) {
 			t.Fatal(err)
 		}
 		p.Arm()
-		env.Eng.RunUntil(p.Horizon() + 2*sim.Second)
+		se.RunUntil(p.Horizon() + 2*sim.Second)
 		return env.Injector.History()
 	}
 	a, b := run(7), run(7)
@@ -311,7 +312,7 @@ func TestDeterministicPerSeed(t *testing.T) {
 }
 
 func TestAdvanceAllocFree(t *testing.T) {
-	env := testEnv(t, twoTier(), 1)
+	env, se := testEnv(t, twoTier(), 1)
 	sc := Overlay(
 		Mode(MemLeak, 0.7, 30*sim.Second).On("backend"),
 		Mode(Plateau, 0.6, 30*sim.Second).On("frontend"),
@@ -322,7 +323,7 @@ func TestAdvanceAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Arm()
-	env.Eng.RunUntil(2 * sim.Second) // all atoms active
+	se.RunUntil(2 * sim.Second) // all atoms active
 	if n := testing.AllocsPerRun(200, p.StepNow); n != 0 {
 		t.Fatalf("advance allocates %v/op, want 0", n)
 	}

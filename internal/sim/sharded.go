@@ -24,7 +24,7 @@ import (
 // to share a shard — with a key that is unique among all mails sharing a
 // timestamp, (b) component placement onto shards is a pure function of the
 // model (never of shard-local state), and (c) no component draws from a
-// shard engine's Rand. internal/app's ShardedApp and internal/harness's
+// shard engine's Rand. internal/app's App and internal/harness's
 // sharded placement are built to those rules.
 
 // mail is one cross-shard message: h.Handle(key, arg) runs on shard to at

@@ -184,7 +184,7 @@ func (s *Spikes) MaxRate() float64 {
 // against Pattern.MaxRate; Constant patterns use the direct exponential
 // sampler (identical process, historical byte-exact arrival sequence).
 type Generator struct {
-	App     Target
+	App     *app.App
 	Pattern Pattern
 	Meter   *telemetry.Meter // optional; records arrivals per type
 
@@ -203,17 +203,9 @@ type Generator struct {
 	Submitted uint64
 }
 
-// Target is the submission surface a generator drives: the single-engine
-// *app.App or a sharded app. Engine supplies the clock the arrival process
-// is scheduled on — for a sharded target that is the home shard, which owns
-// request admission.
-type Target interface {
-	Engine() *sim.Engine
-	SubmitMix(r *rand.Rand, onDone func(app.Result)) (string, error)
-}
-
-// NewGenerator builds a generator for a deployed app.
-func NewGenerator(a Target, p Pattern, meter *telemetry.Meter, seed int64) *Generator {
+// NewGenerator builds a generator for a deployed app. Arrivals are
+// scheduled on the app's home shard, which owns request admission.
+func NewGenerator(a *app.App, p Pattern, meter *telemetry.Meter, seed int64) *Generator {
 	return &Generator{
 		App: a, Pattern: p, Meter: meter,
 		eng: a.Engine(), rng: sim.Stream(seed, "workload"),

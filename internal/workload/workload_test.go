@@ -13,22 +13,23 @@ import (
 	"firm/internal/tracedb"
 )
 
-func newApp(t *testing.T) (*sim.Engine, *app.App) {
+func newApp(t *testing.T) (*sim.ShardedEngine, *app.App) {
 	t.Helper()
-	eng := sim.NewEngine(1)
+	spec := topology.HotelReservation()
+	se := sim.NewShardedEngine(1, 1, spec.BaseRPCDelay)
 	cfg := cluster.DefaultConfig()
 	cfg.NoiseSD = 0
-	cl := cluster.New(eng, cfg)
+	cl := cluster.New(se.Shard(0), cfg)
 	for i := 0; i < 3; i++ {
 		cl.AddNode(cluster.XeonProfile)
 	}
 	db := tracedb.New(50000)
-	coord := trace.NewCoordinator(eng, db)
-	a, err := app.Deploy(eng, cl, topology.HotelReservation(), coord)
+	coord := trace.NewCoordinator(se.Shard(0), db)
+	a, err := app.DeployOne(se, cl, spec, coord)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng, a
+	return se, a
 }
 
 func mustSpikes(t *testing.T, base Pattern, factor float64, meanGap, spikeLen, horizon sim.Time, seed int64) *Spikes {
@@ -345,7 +346,7 @@ func TestSessionsStream(t *testing.T) {
 
 func TestGeneratorOpenLoopRate(t *testing.T) {
 	eng, a := newApp(t)
-	meter := telemetry.NewMeter(eng, sim.Second, []string{"search-hotels", "recommend", "reserve"})
+	meter := telemetry.NewMeter(eng.Shard(0), sim.Second, []string{"search-hotels", "recommend", "reserve"})
 	g := NewGenerator(a, Constant{RPS: 200}, meter, 5)
 	g.Start()
 	eng.RunUntil(20 * sim.Second)
